@@ -438,22 +438,20 @@ def _cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
         s = args.s
         if s is None:
             parser.error("--estimator large-k-reads requires --s (sequencer error rate)")
-        scale = 1.0
         if args.x_table:
             x_table = read_kmer_table(args.x_table)
         else:
             xr = read_reads(need(args.x_reads, "--x-reads or --x-table"))
             x_table = count_kmers_reads(xr, need(args.k, "-k"))
-        k = x_table.k
         if args.y_table:
             y_table = read_kmer_table(args.y_table)
         else:
             yr = read_reads(need(args.y_reads, "--y-reads or --y-table"))
-            y_table = count_kmers_reads(yr, k)
-            if args.x_table is None:
-                scale = (xr.num_reads * (xr.read_len - k + 1)) / (
-                    yr.num_reads * (yr.read_len - k + 1)
-                )
+            y_table = count_kmers_reads(yr, x_table.k)
+        # a read table's total is its window count N * (L - k + 1), so the
+        # ratio of totals is the read-volume ratio whatever the input form;
+        # an empty y table keeps no mass at any scale
+        scale = x_table.total / y_table.total if y_table.total else 1.0
         result = estimate_large_k_reads(x_table, y_table, s, mutated_scale=scale)
 
     print(json.dumps(_result_to_dict(result, extras), indent=2))

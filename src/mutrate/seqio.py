@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FastaParseError
-from .kmers import KmerTable, encode_kmer
-from .model import CircularSequence, ReadSet, codes_to_string, string_to_codes
+from .kmers import MAX_K, KmerTable, encode_kmer
+from .model import _BYTE_TO_CODE, _CODE_TO_BYTE, CircularSequence, ReadSet, string_to_codes
 
 FASTA_LINE_WIDTH = 70
 
@@ -39,18 +39,18 @@ def parse_fasta(text: str, on_invalid: str = "error") -> list[FastaRecord]:
         raise ValueError(f"on_invalid must be 'error' or 'drop', got {on_invalid!r}")
     records: list[FastaRecord] = []
     name: str | None = None
-    chunks: list[str] = []
-    dropped = 0
+    lines: list[str] = []
+    linenos: list[int] = []
 
     def flush():
-        nonlocal name, chunks, dropped
+        nonlocal name, lines, linenos
         if name is None:
             return
-        seq_text = "".join(chunks)
-        if not seq_text:
+        codes, dropped = _record_codes(lines, linenos, on_invalid)
+        if not codes.size:
             raise FastaParseError(f"record {name!r} has an empty sequence")
-        records.append(FastaRecord(name, CircularSequence.from_string(seq_text), dropped))
-        name, chunks, dropped = None, [], 0
+        records.append(FastaRecord(name, CircularSequence(codes), dropped))
+        name, lines, linenos = None, [], []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -64,21 +64,33 @@ def parse_fasta(text: str, on_invalid: str = "error") -> list[FastaRecord]:
             continue
         if name is None:
             raise FastaParseError(f"line {lineno}: sequence data before any '>' header")
-        kept = []
-        for col, ch in enumerate(line, start=1):
-            if ch.upper() in "ACGT":
-                kept.append(ch)
-            elif on_invalid == "error":
-                raise FastaParseError(
-                    f"line {lineno}, column {col}: invalid symbol {ch!r}"
-                )
-            else:
-                dropped += 1
-        chunks.append("".join(kept))
+        lines.append(line)
+        linenos.append(lineno)
     flush()
     if not records:
         raise FastaParseError("no records found")
     return records
+
+
+def _record_codes(lines: list[str], linenos: list[int], on_invalid: str) -> tuple[np.ndarray, int]:
+    """Codes of one record's sequence lines and the number of symbols dropped.
+
+    Only ``acgtACGT`` are valid. Encoding with ``"replace"`` turns each
+    non-ASCII character into one invalid byte, so byte offsets are character
+    offsets and an error can name its line and column.
+    """
+    joined = "".join(lines)
+    codes = _BYTE_TO_CODE[np.frombuffer(joined.encode("ascii", "replace"), dtype=np.uint8)]
+    bad = codes == 255
+    if not bad.any():
+        return codes, 0
+    if on_invalid == "drop":
+        return codes[~bad], int(np.count_nonzero(bad))
+    pos = int(np.argmax(bad))
+    ends = np.cumsum([len(line) for line in lines])
+    i = int(np.searchsorted(ends, pos, side="right"))
+    col = pos - (int(ends[i - 1]) if i else 0) + 1
+    raise FastaParseError(f"line {linenos[i]}, column {col}: invalid symbol {joined[pos]!r}")
 
 
 def read_fasta(path: str | Path, on_invalid: str = "error") -> list[FastaRecord]:
@@ -114,33 +126,140 @@ def _parse_header(line: str, expected_keys: tuple[str, ...], where: str) -> dict
     return out
 
 
+def _split_canonical(data: bytes) -> tuple[str, np.ndarray] | None:
+    """Header line and body bytes of an ASCII file with ``\\n`` line ends.
+
+    ``None`` for anything else (empty, non-ASCII or ``\\r`` in the header):
+    such files go to the text-mode row loops, which decode and split lines
+    as they always have and raise the same messages.
+    """
+    cut = data.find(b"\n") + 1 or len(data)
+    head = data[:cut]
+    if not head or not head.isascii() or b"\r" in head:
+        return None
+    return head.decode("ascii"), np.frombuffer(data, dtype=np.uint8)[cut:]
+
+
 # --- k-mer count tables -----------------------------------------------------
+
+_MAX_COUNT_DIGITS = 18  # any 18-digit count fits in int64
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 
 
 def write_kmer_table(path: str | Path, table: KmerTable) -> None:
     """One header line ``#k=<k>\\t#total=<total>\\t#provenance=<...>``, then
     tab-separated (k-mer, count) rows in packed-key order."""
-    lines = [f"#k={table.k}\t#total={table.total}\t#provenance={table.provenance}"]
-    for kmer, count in table.items():
-        lines.append(f"{kmer}\t{count}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = f"#k={table.k}\t#total={table.total}\t#provenance={table.provenance}\n"
+    with Path(path).open("wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(_format_table_rows(table.k, table.keys, table.counts))
+
+
+def _format_table_rows(k: int, keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``KMER\\tCOUNT\\n`` rows laid out in one buffer, one column at a time."""
+    ndigits = 1 + np.searchsorted(_POW10, counts, side="right")
+    lengths = k + 2 + ndigits  # k-mer, tab, digits, newline
+    ends = np.cumsum(lengths)  # one past each row's newline
+    starts = ends - lengths
+    del ndigits, lengths
+    buf = np.empty(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
+    for j in range(k):
+        shift = np.uint64(2 * (k - 1 - j))
+        buf[starts + j] = _CODE_TO_BYTE[(keys >> shift) & np.uint64(3)]
+    buf[starts + k] = ord("\t")
+    del starts
+    ends -= 1
+    buf[ends] = ord("\n")
+    # digits right to left; a row drops out once its count is used up
+    pos, rest = ends - 1, counts
+    while pos.size:
+        buf[pos] = ord("0") + rest % 10
+        rest = rest // 10
+        live = rest > 0
+        pos, rest = pos[live] - 1, rest[live]
+    return buf
+
+
+def _table_header(line: str, where: str) -> tuple[int, int, str]:
+    header = _parse_header(line, ("k", "total", "provenance"), where)
+    try:
+        k = int(header["k"])
+        total = int(header["total"])
+    except ValueError:
+        raise ValueError(f"{where}: k and total must be integers") from None
+    provenance = header["provenance"]
+    if provenance not in ("sequence", "reads"):
+        raise ValueError(f"{where}: provenance must be 'sequence' or 'reads', got {provenance!r}")
+    return k, total, provenance
 
 
 def read_kmer_table(path: str | Path) -> KmerTable:
+    """Inverse of :func:`write_kmer_table`.
+
+    A file in the writer's form (lowercase k-mers too) is parsed as whole
+    arrays. Any other body, such as one with CRLF line ends, blank lines,
+    signed or padded counts or a malformed row, goes to the row loop, which
+    accepts what it always accepted and names the first bad line.
+    """
     path = Path(path)
+    split = _split_canonical(path.read_bytes())
+    if split is None:
+        return _read_kmer_table_rows(path)
+    k, total, provenance = _table_header(split[0], str(path))
+    rows = _parse_table_rows(split[1], k)
+    if rows is None:
+        return _read_kmer_table_rows(path)
+    return _checked_table(KmerTable(k, *rows, provenance), total, path)
+
+
+def _parse_table_rows(body: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Keys and counts of ``KMER\\tCOUNT\\n`` rows with 1-18 digit counts;
+    ``None`` if any row is not of that form or has count 0."""
+    if not 1 <= k <= MAX_K or (body.size and body[-1] != ord("\n")):
+        return None
+    ends = np.flatnonzero(body == ord("\n"))
+    starts = np.empty_like(ends)
+    starts[:1] = 0
+    starts[1:] = ends[:-1] + 1
+    ndigits = ends - starts - (k + 1)
+    if ndigits.size and not (ndigits.min() >= 1 and ndigits.max() <= _MAX_COUNT_DIGITS):
+        return None
+    if np.any(body[starts + k] != ord("\t")):
+        return None
+    keys = np.zeros(starts.size, dtype=np.uint64)
+    for j in range(k):
+        codes = _BYTE_TO_CODE[body[starts + j]]
+        if codes.size and codes.max() > 3:
+            return None
+        keys <<= np.uint64(2)
+        keys |= codes
+    # digits right to left; a row drops out after its last digit
+    counts = np.zeros(starts.size, dtype=np.int64)
+    pos, rows = ends - 1, np.arange(starts.size)
+    for d in range(int(ndigits.max()) if ndigits.size else 0):
+        digit = body[pos] - np.uint8(ord("0"))  # non-digits wrap above 9
+        if digit.max() > 9:
+            return None
+        counts[rows] += digit * np.int64(10**d)
+        live = ndigits[rows] > d + 1
+        pos, rows = pos[live] - 1, rows[live]
+    if counts.size and counts.min() == 0:
+        return None
+    return keys, counts
+
+
+def _checked_table(table: KmerTable, total: int, path: Path) -> KmerTable:
+    if table.total != total:
+        raise ValueError(f"{path}: header total {total} but rows sum to {table.total}")
+    return table
+
+
+def _read_kmer_table_rows(path: Path) -> KmerTable:
     with path.open() as fh:
         header_line = fh.readline()
         if not header_line:
             raise ValueError(f"{path}: empty file")
-        header = _parse_header(header_line, ("k", "total", "provenance"), str(path))
-        try:
-            k = int(header["k"])
-            total = int(header["total"])
-        except ValueError:
-            raise ValueError(f"{path}: k and total must be integers") from None
-        provenance = header["provenance"]
-        if provenance not in ("sequence", "reads"):
-            raise ValueError(f"{path}: provenance must be 'sequence' or 'reads', got {provenance!r}")
+        k, total, provenance = _table_header(header_line, str(path))
         keys = []
         counts = []
         for lineno, raw in enumerate(fh, start=2):
@@ -168,10 +287,7 @@ def read_kmer_table(path: str | Path) -> KmerTable:
             counts.append(count)
     keys_arr = np.array(keys, dtype=np.uint64) if keys else np.empty(0, dtype=np.uint64)
     counts_arr = np.array(counts, dtype=np.int64) if counts else np.empty(0, dtype=np.int64)
-    table = KmerTable(k, keys_arr, counts_arr, provenance)
-    if table.total != total:
-        raise ValueError(f"{path}: header total {total} but rows sum to {table.total}")
-    return table
+    return _checked_table(KmerTable(k, keys_arr, counts_arr, provenance), total, path)
 
 
 # --- read sets ---------------------------------------------------------------
@@ -183,27 +299,52 @@ def write_reads(path: str | Path, reads: ReadSet) -> None:
     Start positions are deliberately not stored: consumers must work from
     read content alone.
     """
-    lines = [f"#L={reads.read_len}\t#N={reads.num_reads}\t#G={reads.source_len}"]
-    for i in range(reads.num_reads):
-        lines.append(codes_to_string(reads.matrix[i]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = f"#L={reads.read_len}\t#N={reads.num_reads}\t#G={reads.source_len}\n"
+    rows = np.empty((reads.num_reads, reads.read_len + 1), dtype=np.uint8)
+    rows[:, :-1] = _CODE_TO_BYTE[reads.matrix]
+    rows[:, -1] = ord("\n")
+    with Path(path).open("wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(rows)
+
+
+def _reads_header(line: str, where: str) -> tuple[int, int, int]:
+    header = _parse_header(line, ("L", "N", "G"), where)
+    try:
+        L = int(header["L"])
+        N = int(header["N"])
+        G = int(header["G"])
+    except ValueError:
+        raise ValueError(f"{where}: L, N, G must be integers") from None
+    if L < 1 or N < 0 or G < 1:
+        raise ValueError(f"{where}: need L >= 1, N >= 0, G >= 1")
+    return L, N, G
 
 
 def read_reads(path: str | Path) -> ReadSet:
+    """Inverse of :func:`write_reads`. A body of exactly N rows of L symbols
+    and a ``\\n`` is decoded as one block; anything else row by row."""
     path = Path(path)
+    split = _split_canonical(path.read_bytes())
+    if split is None:
+        return _read_reads_rows(path)
+    L, N, G = _reads_header(split[0], str(path))
+    body = split[1]
+    if body.size != N * (L + 1):
+        return _read_reads_rows(path)
+    rows = body.reshape(N, L + 1)
+    codes = _BYTE_TO_CODE[rows[:, :L]]
+    if np.any(rows[:, L] != ord("\n")) or (codes.size and codes.max() > 3):
+        return _read_reads_rows(path)
+    return ReadSet(codes, G)
+
+
+def _read_reads_rows(path: Path) -> ReadSet:
     with path.open() as fh:
         header_line = fh.readline()
         if not header_line:
             raise ValueError(f"{path}: empty file")
-        header = _parse_header(header_line, ("L", "N", "G"), str(path))
-        try:
-            L = int(header["L"])
-            N = int(header["N"])
-            G = int(header["G"])
-        except ValueError:
-            raise ValueError(f"{path}: L, N, G must be integers") from None
-        if L < 1 or N < 0 or G < 1:
-            raise ValueError(f"{path}: need L >= 1, N >= 0, G >= 1")
+        L, N, G = _reads_header(header_line, str(path))
         matrix = np.empty((N, L), dtype=np.uint8)
         n_seen = 0
         for lineno, raw in enumerate(fh, start=2):

@@ -84,3 +84,42 @@ def quartiles_midpoint(values: list[float]) -> tuple[float, float, float]:
 
     vals = sorted(values)
     return quantile(vals, 0.25), quantile(vals, 0.5), quantile(vals, 0.75)
+
+
+def fasta_records(text: str, on_invalid: str) -> list[tuple[str, str, int]]:
+    """(name, uppercase sequence, symbols dropped) per FASTA record, checked
+    one character at a time. Raises ValueError with parse_fasta's message."""
+    records: list[tuple[str, str, int]] = []
+    name = None
+    kept: list[str] = []
+    dropped = 0
+
+    def flush():
+        if name is not None:
+            if not kept:
+                raise ValueError(f"record {name!r} has an empty sequence")
+            records.append((name, "".join(kept).upper(), dropped))
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith(">"):
+            flush()
+            name, kept, dropped = line[1:].strip(), [], 0
+            if not name:
+                raise ValueError(f"line {lineno}: header has no name")
+            continue
+        if name is None:
+            raise ValueError(f"line {lineno}: sequence data before any '>' header")
+        for col, ch in enumerate(line, start=1):
+            if ch in "acgtACGT":
+                kept.append(ch)
+            elif on_invalid == "error":
+                raise ValueError(f"line {lineno}, column {col}: invalid symbol {ch!r}")
+            else:
+                dropped += 1
+    flush()
+    if not records:
+        raise ValueError("no records found")
+    return records

@@ -139,6 +139,29 @@ class TestEstimate:
         assert abs(payload["p_raw"] - 0.1) < 0.05
         assert payload["diagnostics"]["lambda_threshold"] >= 1
 
+    def test_large_k_reads_scale_from_tables(self, skewed_pair, tmp_path, capsys):
+        """Unequal read volumes: every mix of table and reads inputs must give
+        the reads-file estimate, which scales by the ratio of window counts."""
+        x, y = skewed_pair
+        inputs = {}
+        for side, src, cov, seed in (("x", x, "20", "11"), ("y", y, "5", "12")):
+            reads, table = tmp_path / f"{side}.reads", tmp_path / f"{side}.tsv"
+            run(capsys, "reads", "--in", str(src), "--read-len", "500", "--coverage", cov,
+                "--error-rate", "0.01", "--seed", seed, "--out", str(reads))
+            run(capsys, "count", "--reads", str(reads), "-k", "20", "--out", str(table))
+            inputs[side] = {"reads": str(reads), "table": str(table)}
+        p_raw = {}
+        for x_form in ("reads", "table"):
+            for y_form in ("reads", "table"):
+                code, out, _ = run(
+                    capsys, "estimate", "--estimator", "large-k-reads", "-k", "20", "--s", "0.01",
+                    f"--x-{x_form}", inputs["x"][x_form], f"--y-{y_form}", inputs["y"][y_form],
+                )
+                assert code == 0
+                p_raw[x_form, y_form] = json.loads(out)["p_raw"]
+        assert abs(p_raw["reads", "reads"] - 0.1) < 0.05
+        assert set(p_raw.values()) == {p_raw["reads", "reads"]}
+
     def test_large_k_reads_requires_s(self, skewed_pair, tmp_path, capsys):
         x, _ = skewed_pair
         xr = tmp_path / "xr.reads"

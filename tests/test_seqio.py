@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from mutrate import seqio
 from mutrate.errors import FastaParseError
 from mutrate.kmers import KmerTable, count_kmers_reads, count_kmers_sequence
 from mutrate.model import CircularSequence, SubstitutionChannel, generate_iid_sequence, sample_reads
@@ -81,6 +85,31 @@ class TestFasta:
             (f"r{i}", s) for i, s in enumerate(seqs)
         ]
 
+    def test_invalid_symbol_on_later_line(self):
+        with pytest.raises(FastaParseError, match=re.escape("line 4, column 2: invalid symbol 'é'")):
+            parse_fasta(">s\nACGT\n\n GéN\n")
+
+    @settings(max_examples=200)
+    @given(
+        text=st.lists(
+            st.sampled_from([">r", ">", "> q ", "ACGT", "acgt", "AN", "g-t", "é", " ", "\n", "\r\n"]),
+            max_size=12,
+        ).map("".join),
+        on_invalid=st.sampled_from(["error", "drop"]),
+    )
+    @example(text=">a\nACGT\n>b\nNNN\n", on_invalid="drop")
+    @example(text=">a\nAC\nGTX\n", on_invalid="error")
+    def test_matches_per_character_oracle(self, text, on_invalid):
+        try:
+            want = oracles.fasta_records(text, on_invalid)
+        except ValueError as exc:
+            with pytest.raises(FastaParseError) as got:
+                parse_fasta(text, on_invalid)
+            assert str(got.value) == str(exc)
+            return
+        got = [(r.name, r.seq.to_string(), r.dropped) for r in parse_fasta(text, on_invalid)]
+        assert got == want
+
 
 class TestKmerTableIO:
     def test_round_trip(self, tmp_path):
@@ -132,6 +161,121 @@ class TestKmerTableIO:
             read_kmer_table(path)
 
 
+def _row_format(table: KmerTable) -> bytes:
+    """The file as formatted one row at a time; the array writer must
+    reproduce it byte for byte."""
+    header = f"#k={table.k}\t#total={table.total}\t#provenance={table.provenance}\n"
+    return (header + "".join(f"{kmer}\t{c}\n" for kmer, c in table.items())).encode()
+
+
+@st.composite
+def kmer_tables(draw):
+    k = draw(st.integers(1, 32))
+    keys = draw(st.lists(st.integers(0, 4**k - 1), max_size=30, unique=True))
+    counts = draw(st.lists(st.integers(1, 10**13 - 1), min_size=len(keys), max_size=len(keys)))
+    provenance = draw(st.sampled_from(["sequence", "reads"]))
+    return KmerTable(k, np.array(keys, dtype=np.uint64), np.array(counts, dtype=np.int64), provenance)
+
+
+def _edits(inserts: list[str]):
+    """Up to three edits, each an offset, a string to insert and whether the
+    character at the offset is replaced (an empty insert then deletes it)."""
+    return st.lists(
+        st.tuples(st.integers(0, 10**6), st.sampled_from(["", *inserts]), st.booleans()), max_size=3
+    )
+
+
+def _apply(edits, text: str) -> str:
+    for at, insert, replace in edits:
+        at %= len(text) + 1
+        text = text[:at] + insert + text[at + replace :]
+    return text
+
+
+_DIGIT_SPREAD = [10**i for i in range(13)] + [10 ** (i + 1) - 1 for i in range(13)]
+
+
+class TestKmerTableCodec:
+    @settings(max_examples=150)
+    @given(table=kmer_tables())
+    @example(table=KmerTable(5, np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)))
+    @example(
+        table=KmerTable(
+            32,
+            np.array([2**63 + i for i in range(len(_DIGIT_SPREAD) - 2)] + [2**64 - 1, 5], dtype=np.uint64),
+            np.array(_DIGIT_SPREAD, dtype=np.int64),
+            "reads",
+        )
+    )
+    def test_round_trip_and_seed_bytes(self, tmp_path_factory, table):
+        path = tmp_path_factory.mktemp("t") / "t.tsv"
+        write_kmer_table(path, table)
+        assert path.read_bytes() == _row_format(table)
+        assert read_kmer_table(path) == table
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("ACG\t2\n", ", line 4: k-mer 'ACG' has length 3, header says k=2"),
+            ("TT\t0\n", ", line 4: count must be positive, got 0"),
+            ("TT\t2x\n", ", line 4: count '2x' is not an integer"),
+            ("TN\t2\n", ", line 4: invalid nucleotide 'N' in k-mer 'TN'"),
+            ("TT\t1\t1\n", ", line 4: expected 'KMER\\tCOUNT'"),
+            ("TT\t3\n", ": header total 6 but rows sum to 7"),
+        ],
+    )
+    def test_malformed_row(self, tmp_path, row, message):
+        path = tmp_path / "bad.tsv"
+        path.write_text("#k=2\t#total=6\t#provenance=sequence\nAC\t3\nGT\t1\n" + row)
+        with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
+            read_kmer_table(path)
+
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            lambda body: body.lower(),
+            lambda body: body.replace("\n", "\r\n"),
+            lambda body: body.replace("\n", "\n\n"),
+            lambda body: body.replace("\t", "\t+"),
+            lambda body: body.rstrip("\n"),
+        ],
+        ids=["lowercase", "crlf", "blank-lines", "signed-counts", "no-final-newline"],
+    )
+    def test_lenient_variants_parse_the_same(self, tmp_path, variant):
+        table = count_kmers_sequence(CircularSequence.from_string("ACGTTGCAAGGCTTA" * 3), 4)
+        header = "#k=4\t#total=45\t#provenance=sequence\n"
+        body = _row_format(table).decode()[len(header) :]
+        path = tmp_path / "v.tsv"
+        path.write_text(header + variant(body))
+        assert read_kmer_table(path) == table
+
+    def test_counts_past_18_digits_use_the_row_loop(self, tmp_path):
+        path = tmp_path / "big.tsv"
+        path.write_text(f"#k=2\t#total={10**18}\t#provenance=reads\nAC\t{10**18}\n")
+        assert read_kmer_table(path).counts.tolist() == [10**18]
+        path.write_text(f"#k=2\t#total={10**19 - 1}\t#provenance=reads\nAC\t{10**19 - 1}\n")
+        with pytest.raises(OverflowError):  # past int64, as the row loop always did
+            read_kmer_table(path)
+
+    @settings(max_examples=200)
+    @given(
+        table=kmer_tables(),
+        edits=_edits(["\n", "\r", "\t", "0", "9", "a", "N", "+", " ", "é"]),
+    )
+    def test_whole_array_path_agrees_with_row_loop(self, tmp_path_factory, table, edits):
+        """Any edit of a valid file gives the same table or the same error
+        on both parsers."""
+        path = tmp_path_factory.mktemp("t") / "t.tsv"
+        path.write_text(_apply(edits, _row_format(table).decode()), encoding="utf-8")
+        outcomes = []
+        for parse in (read_kmer_table, seqio._read_kmer_table_rows):
+            try:
+                outcomes.append(parse(path))
+            except ValueError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+
+
 class TestReadsIO:
     def test_round_trip_drops_origins(self, tmp_path):
         x = generate_iid_sequence(300, (0.25, 0.25, 0.25, 0.25), rng_seed=4)
@@ -161,3 +305,37 @@ class TestReadsIO:
         path.write_text("#L=4\t#N=3\t#G=10\nACGT\nACGT\n")
         with pytest.raises(ValueError):
             read_reads(path)
+
+    def test_bad_symbol_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.reads"
+        path.write_text("#L=4\t#N=2\t#G=10\nACGT\nACNT\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: non-ACGT symbol 'N' at position 3")):
+            read_reads(path)
+
+    def test_lenient_variants_parse_the_same(self, tmp_path):
+        path = tmp_path / "r.reads"
+        for text in ("#L=4\t#N=2\t#G=10\r\nacgt\r\nTTGA\r\n", "#L=4\t#N=2\t#G=10\n\nACGT\n\nttga"):
+            path.write_text(text)
+            assert read_reads(path).matrix.tolist() == [[0, 1, 2, 3], [3, 3, 2, 0]]
+
+    @settings(max_examples=150)
+    @given(
+        n=st.integers(0, 4),
+        read_len=st.integers(1, 6),
+        edits=_edits(["\n", "\r", "A", "n", "é"]),
+        seed=st.integers(0, 100),
+    )
+    @example(n=2, read_len=3, edits=[(19, "A", True)], seed=0)  # first row's newline
+    def test_block_path_agrees_with_row_loop(self, tmp_path_factory, n, read_len, edits, seed):
+        x = generate_iid_sequence(20, (0.25, 0.25, 0.25, 0.25), rng_seed=seed)
+        path = tmp_path_factory.mktemp("r") / "r.reads"
+        write_reads(path, sample_reads(x, read_len, n, SubstitutionChannel(0.0), rng_seed=seed))
+        path.write_text(_apply(edits, path.read_text()), encoding="utf-8")
+        outcomes = []
+        for parse in (read_reads, seqio._read_reads_rows):
+            try:
+                rs = parse(path)
+                outcomes.append((rs.matrix.tolist(), rs.source_len))
+            except ValueError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]

@@ -240,7 +240,9 @@ def _parse_table_rows(body: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
         digit = body[pos] - np.uint8(ord("0"))  # non-digits wrap above 9
         if digit.max() > 9:
             return None
-        counts[rows] += digit * np.int64(10**d)
+        # widen first: NumPy 1 keeps uint8 * scalar in the smallest dtype that
+        # holds the scalar, so the product would wrap
+        counts[rows] += digit.astype(np.int64) * 10**d
         live = ndigits[rows] > d + 1
         pos, rows = pos[live] - 1, rows[live]
     if counts.size and counts.min() == 0:

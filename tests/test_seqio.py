@@ -249,13 +249,22 @@ class TestKmerTableCodec:
         path.write_text(header + variant(body))
         assert read_kmer_table(path) == table
 
+    def test_long_counts_on_the_array_path(self, tmp_path, monkeypatch):
+        """Every count width from 1 to 18 digits is parsed by the array path
+        itself, whatever the NumPy promotion rules."""
+        counts = [10**d for d in range(18)] + [10 ** (d + 1) - 1 for d in range(18)]
+        table = KmerTable(3, np.arange(len(counts), dtype=np.uint64), np.array(counts, dtype=np.int64))
+        path = tmp_path / "long.tsv"
+        write_kmer_table(path, table)
+        monkeypatch.setattr(seqio, "_read_kmer_table_rows", lambda path: pytest.fail("row loop used"))
+        got = read_kmer_table(path)
+        assert got.counts.dtype == np.int64
+        assert got.counts.tolist() == counts
+
     def test_counts_past_18_digits_use_the_row_loop(self, tmp_path):
         path = tmp_path / "big.tsv"
         path.write_text(f"#k=2\t#total={10**18}\t#provenance=reads\nAC\t{10**18}\n")
         assert read_kmer_table(path).counts.tolist() == [10**18]
-        path.write_text(f"#k=2\t#total={10**19 - 1}\t#provenance=reads\nAC\t{10**19 - 1}\n")
-        with pytest.raises(OverflowError):  # past int64, as the row loop always did
-            read_kmer_table(path)
 
     @settings(max_examples=200)
     @given(

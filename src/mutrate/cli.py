@@ -17,15 +17,12 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import bounds as bounds_mod
 from .errors import MutrateError
-from .estimators import (
-    EstimateResult,
-    EstimatorId,
-    READ_BASED,
-    SubsetSpec,
+from .estimators import EstimateResult, EstimatorId, READ_BASED, SubsetSpec
+
+# not called here; perfbench/tracing.py wraps these names on this module
+from .estimators import (  # noqa: F401
     estimate_general_k,
     estimate_k1_gc,
     estimate_k1_reads,
@@ -39,9 +36,12 @@ from .harness import (
     ExperimentConfig,
     FastaSource,
     IidSource,
+    MODE_ESTIMATORS,
     Mode,
+    as_table,
     choose_k1_base,
     derive_seed,
+    estimate,
     run_experiment,
     summary_to_dict,
     write_summary_json,
@@ -51,7 +51,6 @@ from .kmers import count_kmers_reads, count_kmers_sequence
 from .model import (
     ALPHABET,
     SubstitutionChannel,
-    encode_base,
     generate_iid_sequence,
     mutate,
     sample_reads,
@@ -368,92 +367,39 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _read_fraction(matrix: np.ndarray, code: int) -> int:
-    return int(np.count_nonzero(matrix == code))
-
-
-def _auto_base_from_matrix(matrix: np.ndarray) -> str:
-    counts = np.bincount(matrix.reshape(-1), minlength=4)
-    dev = np.abs(counts / max(matrix.size, 1) - 0.25)
-    return ALPHABET[int(np.argmax(dev))]
-
-
 def _cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
     est = EstimatorId(args.estimator)
-    if args.mode is not None:
-        regime = "seq" if est in READ_BASED else "nonseq"
-        if regime != args.mode:
-            parser.error(f"--estimator {est.value} runs in {regime} mode, not {args.mode}")
+    if args.mode is not None and est not in MODE_ESTIMATORS[Mode(args.mode)]:
+        regime = next(m.value for m in Mode if est in MODE_ESTIMATORS[m])
+        parser.error(f"--estimator {est.value} runs in {regime} mode, not {args.mode}")
+    takes_table = est in (EstimatorId.GENERAL_K, EstimatorId.LARGE_K_SEQ, EstimatorId.LARGE_K_READS)
+    if takes_table and args.k is None and not args.x_table:
+        parser.error(f"--estimator {est.value} requires -k or --x-table")
+    if est is EstimatorId.LARGE_K_READS and args.s is None:
+        parser.error("--estimator large-k-reads requires --s (sequencer error rate)")
+
+    def load(side: str):
+        table = getattr(args, f"{side}_table") if takes_table else None
+        if table:
+            return read_kmer_table(table)
+        flag = f"--{side}-reads" if est in READ_BASED else f"--{side}"
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if path is None:
+            alt = f" or --{side}-table" if takes_table else ""
+            parser.error(f"--estimator {est.value} requires {flag}{alt}")
+        if est in READ_BASED:
+            return read_reads(path)
+        return _pick_record(read_fasta(path), args.record, path).seq
+
+    x = load("x")
+    if takes_table:
+        # count x before reading y: one side's reads in memory at a time
+        x = as_table(x, args.k)
+    y = load("y")
     extras: dict = {}
-
-    def need(flag_value, flag_name):
-        if flag_value is None:
-            parser.error(f"--estimator {est.value} requires {flag_name}")
-        return flag_value
-
-    if est in (EstimatorId.K1_SINGLE, EstimatorId.K1_GC):
-        x_rec = _pick_record(read_fasta(need(args.x, "--x")), args.record, args.x)
-        y_rec = _pick_record(read_fasta(need(args.y, "--y")), args.record, args.y)
-        if est is EstimatorId.K1_GC:
-            result = estimate_k1_gc(x_rec.seq.gc_fraction(), y_rec.seq.gc_fraction())
-        else:
-            base = args.base if args.base != "auto" else choose_k1_base(x_rec.seq)
-            code = encode_base(base)
-            f = int(np.count_nonzero(x_rec.seq.codes == code))
-            f_prime = int(np.count_nonzero(y_rec.seq.codes == code))
-            result = estimate_k1_single(f, f_prime, len(x_rec.seq))
-            extras["base"] = base
-    elif est is EstimatorId.K1_READS:
-        xr = read_reads(need(args.x_reads, "--x-reads"))
-        yr = read_reads(need(args.y_reads, "--y-reads"))
-        if (xr.num_reads, xr.read_len) != (yr.num_reads, yr.read_len):
-            raise MutrateError(
-                "the single-base read estimator needs matching N and L on both sides"
-            )
-        base = args.base if args.base != "auto" else _auto_base_from_matrix(xr.matrix)
-        code = encode_base(base)
-        result = estimate_k1_reads(
-            _read_fraction(xr.matrix, code),
-            _read_fraction(yr.matrix, code),
-            xr.num_reads,
-            xr.read_len,
-        )
-        extras["base"] = base
-    elif est in (EstimatorId.GENERAL_K, EstimatorId.LARGE_K_SEQ):
-        if args.x_table:
-            x_table = read_kmer_table(args.x_table)
-        else:
-            rec = _pick_record(read_fasta(need(args.x, "--x or --x-table")), args.record, args.x)
-            x_table = count_kmers_sequence(rec.seq, need(args.k, "-k"))
-        if args.y_table:
-            y_table = read_kmer_table(args.y_table)
-        else:
-            rec = _pick_record(read_fasta(need(args.y, "--y or --y-table")), args.record, args.y)
-            y_table = count_kmers_sequence(rec.seq, x_table.k)
-        if est is EstimatorId.GENERAL_K:
-            result = estimate_general_k(x_table, y_table, args.subset)
-        else:
-            result = estimate_large_k_seq(x_table, y_table)
-    else:  # large-k-reads
-        s = args.s
-        if s is None:
-            parser.error("--estimator large-k-reads requires --s (sequencer error rate)")
-        if args.x_table:
-            x_table = read_kmer_table(args.x_table)
-        else:
-            xr = read_reads(need(args.x_reads, "--x-reads or --x-table"))
-            x_table = count_kmers_reads(xr, need(args.k, "-k"))
-        if args.y_table:
-            y_table = read_kmer_table(args.y_table)
-        else:
-            yr = read_reads(need(args.y_reads, "--y-reads or --y-table"))
-            y_table = count_kmers_reads(yr, x_table.k)
-        # a read table's total is its window count N * (L - k + 1), so the
-        # ratio of totals is the read-volume ratio whatever the input form;
-        # an empty y table keeps no mass at any scale
-        scale = x_table.total / y_table.total if y_table.total else 1.0
-        result = estimate_large_k_reads(x_table, y_table, s, mutated_scale=scale)
-
+    if est in (EstimatorId.K1_SINGLE, EstimatorId.K1_READS):
+        extras["base"] = args.base if args.base != "auto" else choose_k1_base(x)
+    result = estimate(est, x, y, k=args.k, s=args.s, base=extras.get("base"), subset=args.subset)
     print(json.dumps(_result_to_dict(result, extras), indent=2))
     return 0
 

@@ -409,16 +409,16 @@ def estimate_large_k_reads(
     source: KmerTable,
     mutated: MutatedCounts,
     error_rate: float,
-    mutated_scale: float = 1.0,
 ) -> EstimateResult:
     """Rate from read k-mer mass surviving on the source's high-count k-mers.
 
     The threshold from :func:`select_lambda` keeps k-mers that are almost
     surely real sequence content; the ratio of mutated-side to source-side
     mass on that set falls like (1-p)^k because sequencer noise contributes
-    the same factor to both sides. ``mutated_scale`` rescales the mutated
-    side when its read volume differs from the source's (it multiplies the
-    surviving mass by source volume / mutated volume).
+    the same factor to both sides. A mutated :class:`KmerTable` may come
+    from a different read volume: a read table's total is its window count
+    N * (L - k + 1), so its surviving mass is scaled by source.total /
+    mutated.total. A mapping of expected counts is used as is.
 
     ``error_rate`` may safely be an upper bound rather than the exact
     sequencer rate: overstating s only lowers the mass floor, so the chosen
@@ -427,8 +427,6 @@ def estimate_large_k_reads(
     """
     if source.provenance != "reads":
         raise ValueError("read-level survival needs a read-derived table")
-    if mutated_scale <= 0:
-        raise ValueError(f"mutated_scale must be positive, got {mutated_scale}")
     sel = select_lambda(source, error_rate)
     retained = source.keys[source.counts >= sel.lam]
     den = float(sel.retained_mass)
@@ -436,7 +434,9 @@ def estimate_large_k_reads(
         raise EmptyRetainedSet("threshold retained no k-mer mass")
     k = source.k
     m_keys, m_vals = _as_packed_counts(mutated, k)
-    num = _mass_over(m_keys, m_vals, retained) * mutated_scale
+    num = _mass_over(m_keys, m_vals, retained)
+    if isinstance(mutated, KmerTable) and mutated.total:
+        num *= source.total / mutated.total
     ratio = num / den
     p_raw = 1.0 - ratio ** (1.0 / k)
     warnings = []

@@ -28,7 +28,7 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import MutrateError
+from .errors import MismatchedK, MutrateError
 from .estimators import (
     EstimateResult,
     EstimatorId,
@@ -45,6 +45,7 @@ from .kmers import KmerTable, MAX_K, count_kmers_reads, count_kmers_sequence
 from .model import (
     ALPHABET,
     CircularSequence,
+    ReadSet,
     SubstitutionChannel,
     encode_base,
     generate_iid_sequence,
@@ -89,13 +90,76 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest, "big")
 
 
-def choose_k1_base(x: CircularSequence) -> str:
-    """Base whose frequency deviates most from 1/4 (ties go to earlier
-    alphabet order). The single-base estimators are undefined at exactly
-    1/4 and noisiest near it, so pick the farthest base."""
-    counts = np.bincount(x.codes, minlength=4)
-    dev = np.abs(counts / len(x) - 0.25)
+def _codes(x: CircularSequence | ReadSet) -> np.ndarray:
+    return x.matrix if isinstance(x, ReadSet) else x.codes
+
+
+def choose_k1_base(x: CircularSequence | ReadSet) -> str:
+    """Base whose frequency in a sequence or its reads deviates most from
+    1/4 (ties go to earlier alphabet order). The single-base estimators are
+    undefined at exactly 1/4 and noisiest near it, so pick the farthest base."""
+    codes = _codes(x).reshape(-1)
+    counts = np.bincount(codes, minlength=4)
+    dev = np.abs(counts / max(codes.size, 1) - 0.25)
     return ALPHABET[int(np.argmax(dev))]
+
+
+Data = Union[CircularSequence, ReadSet, KmerTable]
+
+
+def as_table(x: Data, k: int | None) -> KmerTable:
+    """A table as it is, once its k is checked against a requested ``k``;
+    a sequence or read set counted at ``k``."""
+    if isinstance(x, KmerTable):
+        if k is not None and k != x.k:
+            raise MismatchedK(f"k={k} requested, but the k-mer table has k={x.k}")
+        return x
+    if k is None:
+        raise ValueError("k is needed to count k-mers")
+    if isinstance(x, ReadSet):
+        return count_kmers_reads(x, k)
+    return count_kmers_sequence(x, k)
+
+
+def estimate(
+    est: EstimatorId,
+    x: Data,
+    y: Data,
+    *,
+    k: int | None = None,
+    s: float | None = None,
+    base: str | None = None,
+    subset: SubsetSpec | None = None,
+) -> EstimateResult:
+    """Run estimator ``est`` on the source ``x`` and the mutated ``y``.
+
+    k1-single and k1-gc take two sequences and k1-reads two read sets;
+    ``base`` is the nucleotide the single-base estimators count (None
+    picks it with :func:`choose_k1_base` on ``x``). The k-mer estimators
+    take a table, sequence or read set on each side: a table is used as
+    is and the others are counted at ``k``, which defaults to the source
+    table's k for the mutated side. ``s`` is the sequencer error rate of
+    large-k-reads and ``subset`` the general-k subset.
+    """
+    if est is EstimatorId.K1_GC:
+        return estimate_k1_gc(x.gc_fraction(), y.gc_fraction())
+    if est in (EstimatorId.K1_SINGLE, EstimatorId.K1_READS):
+        code = encode_base(base or choose_k1_base(x))
+        f, f_prime = (int(np.count_nonzero(_codes(side) == code)) for side in (x, y))
+        if est is EstimatorId.K1_SINGLE:
+            return estimate_k1_single(f, f_prime, len(x))
+        if (x.num_reads, x.read_len) != (y.num_reads, y.read_len):
+            raise MutrateError("the single-base read estimator needs matching N and L on both sides")
+        return estimate_k1_reads(f, f_prime, x.num_reads, x.read_len)
+    x_table = as_table(x, k)
+    y_table = as_table(y, x_table.k)
+    if est is EstimatorId.GENERAL_K:
+        return estimate_general_k(x_table, y_table, subset)
+    if est is EstimatorId.LARGE_K_SEQ:
+        return estimate_large_k_seq(x_table, y_table)
+    if s is None:
+        raise ValueError("large-k-reads needs the sequencer error rate s")
+    return estimate_large_k_reads(x_table, y_table, s)
 
 
 @dataclass(frozen=True)
@@ -375,40 +439,20 @@ def _estimate_trial(
     seeds: _SeedBook,
     trial_key: tuple,
 ) -> EstimateResult:
-    x = ref.x
-    est = gp.estimator
-    if est is EstimatorId.K1_SINGLE:
-        code = encode_base(ref.base)
-        f = int(np.count_nonzero(x.codes == code))
-        f_prime = int(np.count_nonzero(y.codes == code))
-        return estimate_k1_single(f, f_prime, len(x))
-    if est is EstimatorId.K1_GC:
-        return estimate_k1_gc(x.gc_fraction(), y.gc_fraction())
-    if est in (EstimatorId.GENERAL_K, EstimatorId.LARGE_K_SEQ):
-        x_table = ref.table(gp.k)
-        y_table = count_kmers_sequence(y, gp.k)
-        if est is EstimatorId.GENERAL_K:
-            return estimate_general_k(x_table, y_table, config.subset)
-        return estimate_large_k_seq(x_table, y_table)
-    # read mode: fresh reads of both sides every trial
-    g = len(x)
-    channel = SubstitutionChannel(gp.s)
-    y_len = config.y_read_len if config.y_read_len is not None else config.read_len
-    y_cov = config.y_coverage if config.y_coverage is not None else gp.coverage
-    n = _num_reads(gp.coverage, g, config.read_len)
-    y_n = _num_reads(y_cov, g, y_len)
-    xr = sample_reads(x, config.read_len, n, channel, seeds.seed(*trial_key, "xreads"))
-    yr = sample_reads(y, y_len, y_n, channel, seeds.seed(*trial_key, "yreads"))
-    if est is EstimatorId.K1_READS:
-        code = encode_base(ref.base)
-        h = int(np.count_nonzero(xr.matrix == code))
-        h_prime = int(np.count_nonzero(yr.matrix == code))
-        return estimate_k1_reads(h, h_prime, n, config.read_len)
-    k = gp.k
-    hx = count_kmers_reads(xr, k)
-    hy = count_kmers_reads(yr, k)
-    scale = (n * (config.read_len - k + 1)) / (y_n * (y_len - k + 1))
-    return estimate_large_k_reads(hx, hy, gp.s, mutated_scale=scale)
+    x: Data = ref.x
+    if gp.estimator in READ_BASED:
+        # read mode: fresh reads of both sides every trial
+        g = len(x)
+        channel = SubstitutionChannel(gp.s)
+        y_len = config.y_read_len if config.y_read_len is not None else config.read_len
+        y_cov = config.y_coverage if config.y_coverage is not None else gp.coverage
+        n = _num_reads(gp.coverage, g, config.read_len)
+        y_n = _num_reads(y_cov, g, y_len)
+        x = sample_reads(x, config.read_len, n, channel, seeds.seed(*trial_key, "xreads"))
+        y = sample_reads(y, y_len, y_n, channel, seeds.seed(*trial_key, "yreads"))
+    elif gp.estimator in (EstimatorId.GENERAL_K, EstimatorId.LARGE_K_SEQ):
+        x = ref.table(gp.k)
+    return estimate(gp.estimator, x, y, k=gp.k, s=gp.s, base=ref.base, subset=config.subset)
 
 
 def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:

@@ -8,7 +8,7 @@ and the packing exact for k up to 32. Counting runs over uint64 arrays and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -47,13 +47,6 @@ def decode_kmer(value: int, k: int) -> str:
     for shift in range(2 * (k - 1), -1, -2):
         out.append(ALPHABET[(value >> shift) & 3])
     return "".join(out)
-
-
-def hamming_distance(a: str, b: str) -> int:
-    """Number of mismatching positions between two equal-length strings."""
-    if len(a) != len(b):
-        raise MismatchedK(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(x != y for x, y in zip(a, b))
 
 
 _ODD_MASK = np.uint64(0x5555555555555555)
@@ -129,11 +122,12 @@ class KmerTable:
         if np.any(counts <= 0):
             raise ValueError("counts must be positive (absent k-mers are implicit zeros)")
         if keys.size:
-            if keys.size > 1 and np.any(np.diff(keys.astype(np.int64)) <= 0):
+            # compared as uint64: keys of k=32 reach past 2^63
+            if np.any(keys[1:] <= keys[:-1]):
                 order = np.argsort(keys)
                 keys = keys[order]
                 counts = counts[order]
-                if np.any(np.diff(keys.astype(np.int64)) == 0):
+                if np.any(keys[1:] == keys[:-1]):
                     raise ValueError("duplicate keys in table")
             if self.k < 32 and int(keys[-1]) >= 4**self.k:
                 raise ValueError(f"key {int(keys[-1])} out of range for k={self.k}")
@@ -174,13 +168,7 @@ class KmerTable:
         """Count of one k-mer (zero when absent)."""
         if len(kmer) != self.k:
             raise MismatchedK(f"query length {len(kmer)} vs table k={self.k}")
-        return self.count_packed(encode_kmer(kmer))
-
-    def count_packed(self, value: int) -> int:
-        i = int(np.searchsorted(self.keys, np.uint64(value)))
-        if i < self.keys.size and int(self.keys[i]) == value:
-            return int(self.counts[i])
-        return 0
+        return int(self.counts_for(encode_kmer(kmer)))
 
     def counts_for(self, packed: np.ndarray) -> np.ndarray:
         """Vectorized lookup; zeros for absent keys."""
@@ -249,41 +237,6 @@ def merge_tables(a: KmerTable, b: KmerTable) -> KmerTable:
     summed = np.zeros(uk.size, dtype=np.int64)
     np.add.at(summed, inv, counts)
     return KmerTable(a.k, uk, summed, a.provenance)
-
-
-@dataclass(frozen=True)
-class AbundanceHistogram:
-    """How many distinct k-mers occur exactly i times, for i >= 1."""
-
-    k: int
-    counts: Mapping[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for mult, n in self.counts.items():
-            if mult < 1 or n < 0:
-                raise ValueError("histogram keys must be >= 1 and values >= 0")
-            if n:
-                clean[int(mult)] = int(n)
-        object.__setattr__(self, "counts", clean)
-
-    @property
-    def num_distinct(self) -> int:
-        return sum(self.counts.values())
-
-    @property
-    def total_mass(self) -> int:
-        return sum(m * n for m, n in self.counts.items())
-
-
-def abundance_histogram(table: KmerTable) -> AbundanceHistogram:
-    """Collapse a table to its abundance histogram.
-
-    Invariants: sum_i i * a_i equals the table total, and sum_i a_i equals
-    the number of distinct k-mers.
-    """
-    mults, freq = np.unique(table.counts, return_counts=True)
-    return AbundanceHistogram(table.k, dict(zip(mults.tolist(), freq.tolist())))
 
 
 _CHUNK = 4096

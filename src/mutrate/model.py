@@ -48,10 +48,6 @@ class CircularSequence:
     def to_string(self) -> str:
         return codes_to_string(self.codes)
 
-    @property
-    def symbols(self) -> str:
-        return self.to_string()
-
     def __len__(self) -> int:
         return int(self.codes.size)
 
@@ -61,20 +57,6 @@ class CircularSequence:
         return np.array_equal(self.codes, other.codes)
 
     __hash__ = None  # mutable payload; identity hashing would be a trap
-
-    def symbol_at(self, i: int) -> str:
-        """Symbol at position ``i`` (any integer; wraps modulo the length)."""
-        return ALPHABET[int(self.codes[i % len(self)])]
-
-    def window_codes(self, start: int, length: int) -> np.ndarray:
-        """Codes of the circular substring of ``length`` symbols from ``start``."""
-        idx = (start + np.arange(length, dtype=np.int64)) % len(self)
-        return self.codes[idx]
-
-    def base_fraction(self, base: str) -> float:
-        """Fraction of positions carrying ``base``."""
-        code = encode_base(base)
-        return float(np.count_nonzero(self.codes == code)) / len(self)
 
     def gc_fraction(self) -> float:
         """Fraction of positions carrying C or G."""
@@ -142,20 +124,6 @@ def mutate(x: CircularSequence, channel: SubstitutionChannel, rng_seed: int) -> 
 
 
 @dataclass(frozen=True, eq=False)
-class Read:
-    """A fixed-length read; ``origin`` is kept only for test oracles."""
-
-    codes: np.ndarray
-    origin: int | None = None
-
-    def to_string(self) -> str:
-        return codes_to_string(self.codes)
-
-    def __len__(self) -> int:
-        return int(np.asarray(self.codes).size)
-
-
-@dataclass(frozen=True, eq=False)
 class ReadSet:
     """N reads of identical length from one source sequence.
 
@@ -190,14 +158,6 @@ class ReadSet:
     def coverage(self) -> float:
         """Expected per-position coverage, num_reads * read_len / source_len."""
         return self.num_reads * self.read_len / self.source_len
-
-    @property
-    def reads(self) -> list[Read]:
-        origins = self._origins
-        return [
-            Read(self.matrix[i], None if origins is None else int(origins[i]))
-            for i in range(self.num_reads)
-        ]
 
     def origins_for_testing(self) -> np.ndarray | None:
         """Start positions of each read. Test-only: estimators must not use this."""

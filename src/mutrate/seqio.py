@@ -282,6 +282,8 @@ def _read_kmer_table_rows(path: Path) -> KmerTable:
                 raise ValueError(f"{path}, line {lineno}: count {count_text!r} is not an integer") from None
             if count <= 0:
                 raise ValueError(f"{path}, line {lineno}: count must be positive, got {count}")
+            if count >= 2**63:
+                raise ValueError(f"{path}, line {lineno}: count {count} exceeds int64")
             try:
                 keys.append(encode_kmer(kmer))
             except ValueError as exc:

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from mutrate.cli import main
+from mutrate.estimators import estimate_large_k_reads
+from mutrate.kmers import count_kmers_reads
 from mutrate.seqio import read_fasta, read_kmer_table, read_reads
 
 
@@ -161,6 +163,52 @@ class TestEstimate:
                 p_raw[x_form, y_form] = json.loads(out)["p_raw"]
         assert abs(p_raw["reads", "reads"] - 0.1) < 0.05
         assert set(p_raw.values()) == {p_raw["reads", "reads"]}
+
+    def test_large_k_reads_library_scale_matches_cli(self, skewed_pair, tmp_path, capsys):
+        """Read tables at unequal coverage, passed straight to the estimator,
+        give the CLI's reads-file estimate: the volume scale comes from the
+        table totals."""
+        x, y = skewed_pair
+        paths = {}
+        for side, src, cov, seed in (("x", x, "20", "11"), ("y", y, "5", "12")):
+            paths[side] = str(tmp_path / f"{side}.reads")
+            run(capsys, "reads", "--in", str(src), "--read-len", "500", "--coverage", cov,
+                "--error-rate", "0.01", "--seed", seed, "--out", paths[side])
+        code, out, _ = run(
+            capsys, "estimate", "--estimator", "large-k-reads", "-k", "20", "--s", "0.01",
+            "--x-reads", paths["x"], "--y-reads", paths["y"],
+        )
+        assert code == 0
+        hx, hy = (count_kmers_reads(read_reads(paths[side]), 20) for side in ("x", "y"))
+        assert hx.total == 4 * hy.total
+        p_raw = estimate_large_k_reads(hx, hy, 0.01).p_raw
+        assert p_raw == json.loads(out)["p_raw"]
+        assert abs(p_raw - 0.1) < 0.03
+
+    def test_k_flag_must_match_table(self, skewed_pair, tmp_path, capsys):
+        x, y = skewed_pair
+        xt, yr = tmp_path / "x.tsv", tmp_path / "y.reads"
+        run(capsys, "reads", "--in", str(y), "--read-len", "500", "--coverage", "5",
+            "--seed", "2", "--out", str(yr))
+        run(capsys, "count", "--reads", str(yr), "-k", "20", "--out", str(xt))
+        common = ["estimate", "--estimator", "large-k-reads", "--s", "0.01",
+                  "--x-table", str(xt), "--y-reads", str(yr)]
+        code, out, err = run(capsys, *common, "-k", "25")
+        assert code == 1 and not out
+        assert "error:" in err and "k=25" in err and "k=20" in err
+        code, _, _ = run(capsys, *common, "-k", "20")
+        assert code == 0
+
+    def test_count_past_int64_exits_one(self, skewed_pair, tmp_path, capsys):
+        x, _ = skewed_pair
+        xt, xr = tmp_path / "x.tsv", tmp_path / "x.reads"
+        xt.write_text("#k=2\t#total=9999999999999999999\t#provenance=reads\nAC\t9999999999999999999\n")
+        run(capsys, "reads", "--in", str(x), "--read-len", "100", "--coverage", "1",
+            "--seed", "1", "--out", str(xr))
+        code, out, err = run(capsys, "estimate", "--estimator", "large-k-reads", "--s", "0.01",
+                             "--x-table", str(xt), "--y-reads", str(xr))
+        assert code == 1 and not out
+        assert err.startswith("error:") and "exceeds int64" in err
 
     def test_large_k_reads_requires_s(self, skewed_pair, tmp_path, capsys):
         x, _ = skewed_pair

@@ -364,10 +364,15 @@ class TestLargeKReads:
         assert any("fell back" in w for w in r.warnings)
 
     def test_scale_compensates_volume(self):
+        # a mutated table from half the source's read volume has half its
+        # total, so its surviving mass counts double; expected counts in a
+        # mapping are taken as they are
         t = KmerTable.from_mapping(2, {"AA": 50, "CC": 50}, provenance="reads")
         full = estimate_large_k_reads(t, {"AA": 40.0, "CC": 40.0}, 0.0)
-        halved = estimate_large_k_reads(t, {"AA": 20.0, "CC": 20.0}, 0.0, mutated_scale=2.0)
+        half = KmerTable.from_mapping(2, {"AA": 20, "CC": 20, "GT": 10}, provenance="reads")
+        halved = estimate_large_k_reads(t, half, 0.0)
         assert halved.p_raw == pytest.approx(full.p_raw, abs=1e-12)
+        assert full.p_raw == pytest.approx(1 - 0.8**0.5, abs=1e-12)
 
     def test_upper_bound_noise_still_valid(self):
         # overstating s only tightens the filter; the ratio is untouched

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mutrate.estimators import EstimatorId
+from mutrate.errors import MismatchedK, MutrateError
+from mutrate.estimators import EstimatorId, SubsetSpec
 from mutrate.harness import (
     BoxStats,
     ExperimentConfig,
@@ -15,6 +16,7 @@ from mutrate.harness import (
     box_stats,
     choose_k1_base,
     derive_seed,
+    estimate,
     read_trials_csv,
     run_experiment,
     summarize,
@@ -22,7 +24,15 @@ from mutrate.harness import (
     write_summary_json,
     write_trials_csv,
 )
-from mutrate.model import CircularSequence
+from mutrate.kmers import count_kmers_sequence
+from mutrate.model import (
+    CircularSequence,
+    ReadSet,
+    SubstitutionChannel,
+    generate_iid_sequence,
+    mutate,
+    sample_reads,
+)
 from mutrate.seqio import FastaRecord, write_fasta
 
 UNIFORM = (0.25, 0.25, 0.25, 0.25)
@@ -182,6 +192,25 @@ class TestRunExperiment:
         assert len(records) == 6
         lam = [r.lambda_threshold for r in records if r.estimator is EstimatorId.LARGE_K_READS]
         assert all(l is not None and l >= 1 for l in lam)
+
+    def test_k1_reads_at_unequal_volumes_is_an_error_trial(self):
+        # a mutated-side coverage override gives y fewer reads than x; the
+        # single-base read estimator needs equal N and L, so its trials carry
+        # an error code instead of a rate
+        cfg = nonseq_config(
+            source=IidSource(3000, SKEWED),
+            mode=Mode.SEQ,
+            estimators=(EstimatorId.K1_READS, EstimatorId.LARGE_K_READS),
+            k_values=(8,),
+            s_grid=(0.01,),
+            coverage_grid=(20.0,),
+            read_len=100,
+            y_coverage=5.0,
+            trials_per_point=2,
+        )
+        records = run_experiment(cfg)
+        errors = {r.estimator: r.error for r in records}
+        assert errors == {EstimatorId.K1_READS: "estimator-error", EstimatorId.LARGE_K_READS: ""}
 
     def test_nonseq_and_seq_agree_when_reads_cover_everything(self):
         # s=0 and L=G with generous coverage make read statistics converge
@@ -350,3 +379,52 @@ def test_choose_k1_base_picks_most_skewed():
     assert choose_k1_base(CircularSequence.from_string("ACGTTTTTT")) == "T"
     # tie: every base at exactly 1/4 falls back to alphabet order
     assert choose_k1_base(CircularSequence.from_string("ACGT")) == "A"
+    # reads: pooled over every row
+    reads = ReadSet(np.array([[0, 1, 3], [3, 3, 2]], dtype=np.uint8), source_len=10)
+    assert choose_k1_base(reads) == "T"
+
+
+class TestEstimateDispatch:
+    @pytest.fixture
+    def pair(self):
+        x = generate_iid_sequence(4000, SKEWED, rng_seed=1)
+        return x, mutate(x, SubstitutionChannel(0.05), rng_seed=2)
+
+    def test_table_and_sequence_inputs_agree(self, pair):
+        x, y = pair
+        table = count_kmers_sequence(x, 12)
+        for est in (EstimatorId.LARGE_K_SEQ, EstimatorId.GENERAL_K):
+            subset = SubsetSpec.top(50) if est is EstimatorId.GENERAL_K else None
+            from_seq = estimate(est, x, y, k=12, subset=subset)
+            assert estimate(est, table, y, subset=subset) == from_seq
+            assert estimate(est, table, y, k=12, subset=subset) == from_seq
+
+    def test_k_must_match_a_table(self, pair):
+        x, y = pair
+        with pytest.raises(MismatchedK, match="k=13 requested"):
+            estimate(EstimatorId.LARGE_K_SEQ, count_kmers_sequence(x, 12), y, k=13)
+        with pytest.raises(MismatchedK):
+            estimate(EstimatorId.LARGE_K_SEQ, x, count_kmers_sequence(y, 12), k=13)
+
+    def test_counting_needs_k(self, pair):
+        with pytest.raises(ValueError, match="k is needed"):
+            estimate(EstimatorId.LARGE_K_SEQ, *pair)
+
+    def test_k1_base_defaults_to_the_most_skewed(self, pair):
+        x, y = pair
+        auto = estimate(EstimatorId.K1_SINGLE, x, y)
+        assert auto == estimate(EstimatorId.K1_SINGLE, x, y, base=choose_k1_base(x))
+        assert auto != estimate(EstimatorId.K1_SINGLE, x, y, base="C")
+
+    def test_k1_reads_needs_matching_volumes(self, pair):
+        x, y = pair
+        xr = sample_reads(x, 100, 40, SubstitutionChannel(0.0), rng_seed=3)
+        yr = sample_reads(y, 100, 39, SubstitutionChannel(0.0), rng_seed=4)
+        with pytest.raises(MutrateError, match="matching N and L"):
+            estimate(EstimatorId.K1_READS, xr, yr, base="A")
+
+    def test_large_k_reads_needs_s(self, pair):
+        x, y = pair
+        xr = sample_reads(x, 100, 40, SubstitutionChannel(0.0), rng_seed=3)
+        with pytest.raises(ValueError, match="error rate"):
+            estimate(EstimatorId.LARGE_K_READS, xr, xr, k=10)

@@ -38,16 +38,10 @@ class TestCircularSequence:
         with pytest.raises(ValueError):
             CircularSequence.from_string("")
 
-    def test_wraparound_indexing(self):
-        s = CircularSequence.from_string("ACGT")
-        assert s.symbol_at(4) == "A"
-        assert s.symbol_at(-1) == "T"
-        assert codes_to_string(s.window_codes(3, 3)) == "TAC"
-
-    def test_base_fraction(self):
-        s = CircularSequence.from_string("AACT")
-        assert s.base_fraction("A") == 0.5
-        assert s.gc_fraction() == 0.25
+    def test_gc_fraction(self):
+        assert CircularSequence.from_string("AACT").gc_fraction() == 0.25
+        assert CircularSequence.from_string("GCGC").gc_fraction() == 1.0
+        assert CircularSequence.from_string("ATTA").gc_fraction() == 0.0
 
     def test_equality_by_content(self):
         a = CircularSequence.from_string("ACGT")
@@ -120,8 +114,8 @@ class TestReads:
         x = generate_iid_sequence(200, (0.25, 0.25, 0.25, 0.25), rng_seed=3)
         rs = sample_reads(x, 200, 10, SubstitutionChannel(0.0), rng_seed=4)
         doubled = x.to_string() * 2
-        for read, start in zip(rs.reads, rs.origins_for_testing()):
-            assert read.to_string() == doubled[start : start + 200]
+        for row, start in zip(rs.matrix, rs.origins_for_testing()):
+            assert codes_to_string(row) == doubled[start : start + 200]
 
     def test_reads_wrap_the_boundary(self):
         x = CircularSequence.from_string("ACGTACGT")

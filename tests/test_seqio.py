@@ -266,6 +266,18 @@ class TestKmerTableCodec:
         path.write_text(f"#k=2\t#total={10**18}\t#provenance=reads\nAC\t{10**18}\n")
         assert read_kmer_table(path).counts.tolist() == [10**18]
 
+    @pytest.mark.parametrize("count", [2**63, 9999999999999999999, 10**30])
+    def test_count_past_int64_rejected(self, tmp_path, count):
+        path = tmp_path / "huge.tsv"
+        path.write_text(f"#k=2\t#total={count}\t#provenance=reads\nAC\t{count}\n")
+        with pytest.raises(ValueError, match=f"line 2: count {count} exceeds int64"):
+            read_kmer_table(path)
+
+    def test_largest_int64_count_accepted(self, tmp_path):
+        path = tmp_path / "max.tsv"
+        path.write_text(f"#k=2\t#total={2**63 - 1}\t#provenance=reads\nAC\t{2**63 - 1}\n")
+        assert read_kmer_table(path).counts.tolist() == [2**63 - 1]
+
     @settings(max_examples=200)
     @given(
         table=kmer_tables(),

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import EmptyRetainedSet, MismatchedK, NoRootInRange, SingularDenominator
-from .kmers import KmerTable, distance_profile, encode_kmer
+from .kmers import KmerTable, decode_kmer, distance_profile, encode_kmer, lookup
 
 GRID_POINTS = 256
 SEARCH_MAX = 0.75
@@ -151,11 +151,17 @@ def estimate_k1_reads(
 # mutated-side access: integer tables or {k-mer: expected count} mappings
 
 
-def _as_packed_counts(mutated: MutatedCounts, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize the mutated side into sorted packed keys + float counts."""
+def _as_packed_counts(mutated: MutatedCounts, source: KmerTable) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted packed keys + float counts of the mutated side, which must share
+    the source's k and, for a table, its provenance (reads or sequence)."""
+    k = source.k
     if isinstance(mutated, KmerTable):
         if mutated.k != k:
             raise MismatchedK(f"mutated table has k={mutated.k}, source has k={k}")
+        if mutated.provenance != source.provenance:
+            raise ValueError(
+                f"mutated table has provenance {mutated.provenance!r}, source has {source.provenance!r}"
+            )
         return mutated.keys, mutated.counts.astype(np.float64)
     keys = []
     vals = []
@@ -179,12 +185,7 @@ def _as_packed_counts(mutated: MutatedCounts, k: int) -> tuple[np.ndarray, np.nd
 
 def _mass_over(keys: np.ndarray, vals: np.ndarray, wanted: np.ndarray) -> float:
     """Sum of ``vals`` at the ``wanted`` packed keys (absent keys add zero)."""
-    if keys.size == 0 or wanted.size == 0:
-        return 0.0
-    idx = np.searchsorted(keys, wanted)
-    idx_c = np.minimum(idx, keys.size - 1)
-    hit = keys[idx_c] == wanted
-    return float(vals[idx_c][hit].sum())
+    return float(lookup(keys, vals, wanted).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +231,17 @@ class SubsetSpec:
             take = order[: min(self.m, source.distinct)]
             return np.sort(source.keys[take])
         if self.kind == "explicit":
+            wrong = [s for s in self.kmers if len(s) != source.k]
+            if wrong:
+                raise MismatchedK(
+                    f"subset k-mer {wrong[0]!r} has length {len(wrong[0])}, source table k={source.k}"
+                )
             packed = np.array([encode_kmer(s) for s in self.kmers], dtype=np.uint64)
             uniq = np.unique(packed)
             if uniq.size != packed.size:
                 raise ValueError("explicit subset contains duplicate k-mers")
             present = source.counts_for(uniq) > 0
             if not np.all(present):
-                from .kmers import decode_kmer
-
                 missing = [decode_kmer(int(v), source.k) for v in uniq[~present]]
                 raise ValueError(
                     f"subset k-mers absent from the source table: {', '.join(missing)}"
@@ -325,7 +329,7 @@ def estimate_general_k(
         raise ValueError(
             "subset covers all possible k-mers; restrict it (e.g. top:m) or raise k"
         )
-    m_keys, m_vals = _as_packed_counts(mutated, k)
+    m_keys, m_vals = _as_packed_counts(mutated, source)
     target = _mass_over(m_keys, m_vals, sub_keys)
     profile = distance_profile(sub_keys, source, k)
 
@@ -362,7 +366,7 @@ def estimate_large_k_seq(source: KmerTable, mutated: MutatedCounts) -> EstimateR
     total = source.total
     if total == 0:
         raise EmptyRetainedSet("source table is empty")
-    m_keys, m_vals = _as_packed_counts(mutated, k)
+    m_keys, m_vals = _as_packed_counts(mutated, source)
     mass = _mass_over(m_keys, m_vals, source.keys)
     ratio = mass / total
     p_raw = 1.0 - ratio ** (1.0 / k)
@@ -433,7 +437,7 @@ def estimate_large_k_reads(
     if den <= 0:
         raise EmptyRetainedSet("threshold retained no k-mer mass")
     k = source.k
-    m_keys, m_vals = _as_packed_counts(mutated, k)
+    m_keys, m_vals = _as_packed_counts(mutated, source)
     num = _mass_over(m_keys, m_vals, retained)
     if isinstance(mutated, KmerTable) and mutated.total:
         num *= source.total / mutated.total

@@ -71,19 +71,14 @@ def packed_hamming(a, b) -> np.ndarray:
     return _popcount(mism).astype(np.int64)
 
 
-def _pack_windows(codes: np.ndarray, k: int) -> np.ndarray:
-    """Pack every length-k window of a circular code array.
-
-    Returns one uint64 per position of the input (all ``len(codes)`` circular
-    windows), via Horner's scheme over k wrapped slices.
-    """
-    n = codes.size
-    ext = np.concatenate([codes, codes[: k - 1]]) if k > 1 else codes
-    vals = np.zeros(n, dtype=np.uint64)
-    for j in range(k):
-        vals <<= np.uint64(2)
-        vals |= ext[j : j + n].astype(np.uint64)
-    return vals
+def lookup(keys: np.ndarray, values: np.ndarray, wanted) -> np.ndarray:
+    """``values`` at the ``wanted`` packed keys, where ``keys`` is sorted
+    ascending and aligned with ``values``; zero where a key is absent."""
+    wanted = np.asarray(wanted, dtype=np.uint64)
+    if keys.size == 0:
+        return np.zeros(wanted.shape, dtype=values.dtype)
+    idx = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+    return np.where(keys[idx] == wanted, values[idx], 0)
 
 
 def _pack_read_windows(matrix: np.ndarray, k: int) -> np.ndarray:
@@ -172,13 +167,7 @@ class KmerTable:
 
     def counts_for(self, packed: np.ndarray) -> np.ndarray:
         """Vectorized lookup; zeros for absent keys."""
-        packed = np.asarray(packed, dtype=np.uint64)
-        idx = np.searchsorted(self.keys, packed)
-        idx_c = np.minimum(idx, max(self.keys.size - 1, 0))
-        if self.keys.size == 0:
-            return np.zeros(packed.shape, dtype=np.int64)
-        hit = self.keys[idx_c] == packed
-        return np.where(hit, self.counts[idx_c], 0)
+        return lookup(self.keys, self.counts, packed)
 
     def items(self) -> Iterator[tuple[str, int]]:
         """(k-mer string, count) pairs in packed-key order."""
@@ -206,7 +195,7 @@ def count_kmers_sequence(x: CircularSequence, k: int) -> KmerTable:
     _check_k(k)
     if k > len(x):
         raise ValueError(f"k={k} exceeds sequence length {len(x)}")
-    vals = _pack_windows(x.codes, k)
+    vals = _pack_read_windows(np.concatenate([x.codes, x.codes[: k - 1]])[None, :], k)
     keys, counts = np.unique(vals, return_counts=True)
     return KmerTable(k, keys, counts.astype(np.int64), provenance="sequence")
 
@@ -239,9 +228,6 @@ def merge_tables(a: KmerTable, b: KmerTable) -> KmerTable:
     return KmerTable(a.k, uk, summed, a.provenance)
 
 
-_CHUNK = 4096
-
-
 def expected_kmer_count(
     query: str,
     source: KmerTable,
@@ -264,39 +250,25 @@ def expected_kmer_count(
         raise MismatchedK(f"query length {len(query)} vs table k={k}")
     if not 0.0 <= subst_rate < 1.0:
         raise ValueError(f"substitution rate must be in [0, 1), got {subst_rate}")
-    q = np.uint64(encode_kmer(query))
     keep = 1.0 - subst_rate
     flip = subst_rate / 3.0
     # per-distance transition probabilities, exact at rate 0
     probs = np.array([keep ** (k - d) * flip**d for d in range(k + 1)])
-    total = 0.0
-    for lo in range(0, source.keys.size, _CHUNK):
-        keys = source.keys[lo : lo + _CHUNK]
-        counts = source.counts[lo : lo + _CHUNK].astype(np.float64)
-        d = packed_hamming(keys, q)
-        total += float(np.dot(counts, probs[d]))
-    return scale * total
+    return scale * float(distance_profile([encode_kmer(query)], source, k) @ probs)
 
 
 def distance_profile(target_keys: np.ndarray, source: KmerTable, k: int) -> np.ndarray:
-    """M[d] = sum of source counts at Hamming distance d from any target key.
+    """M[d] = sum over the target keys of the source counts at Hamming
+    distance d from that key; a target listed twice counts twice.
 
     Collapses an all-pairs distance computation into k+1 coefficients, so a
-    moment function of the rate can be evaluated in O(k) afterwards.
+    moment function of the rate can be evaluated in O(k) afterwards. Time
+    is (number of targets) x (distinct source keys); memory is O(distinct).
+    Every M[d] is a sum of whole-number counts, which float64 holds exactly
+    below 2^53, so M does not depend on the order of summation.
     """
-    target_keys = np.asarray(target_keys, dtype=np.uint64)
     M = np.zeros(k + 1, dtype=np.float64)
-    if target_keys.size == 0 or source.keys.size == 0:
-        return M
-    # chunk the source side; the target side rarely needs it but cap anyway
-    for lo_t in range(0, target_keys.size, _CHUNK):
-        t = target_keys[lo_t : lo_t + _CHUNK, None]
-        for lo_s in range(0, source.keys.size, _CHUNK):
-            s = source.keys[None, lo_s : lo_s + _CHUNK]
-            c = source.counts[lo_s : lo_s + _CHUNK].astype(np.float64)
-            d = packed_hamming(t, s)
-            for dist in range(k + 1):
-                mask = d == dist
-                if mask.any():
-                    M[dist] += float(c[np.nonzero(mask)[1]].sum())
+    weights = source.counts.astype(np.float64)
+    for t in np.asarray(target_keys, dtype=np.uint64):
+        M += np.bincount(packed_hamming(source.keys, t), weights=weights, minlength=k + 1)
     return M

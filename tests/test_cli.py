@@ -199,6 +199,28 @@ class TestEstimate:
         code, _, _ = run(capsys, *common, "-k", "20")
         assert code == 0
 
+    def test_reads_table_as_mutated_side_exits_one(self, skewed_pair, tmp_path, capsys):
+        # a sequence table against a reads table gave p_raw near 0 at p=0.1
+        x, y = skewed_pair
+        xt, yr, yt = tmp_path / "x.tsv", tmp_path / "y.reads", tmp_path / "y.tsv"
+        run(capsys, "count", "--fasta", str(x), "-k", "20", "--out", str(xt))
+        run(capsys, "reads", "--in", str(y), "--read-len", "500", "--coverage", "5",
+            "--seed", "2", "--out", str(yr))
+        run(capsys, "count", "--reads", str(yr), "-k", "20", "--out", str(yt))
+        for est in ("large-k-seq", "general-k"):
+            code, out, err = run(capsys, "estimate", "--estimator", est,
+                                 "--x-table", str(xt), "--y-table", str(yt))
+            assert code == 1 and not out
+            assert err.startswith("error:") and "provenance" in err
+
+    @pytest.mark.parametrize("kmer", ["AC", "AACG"])
+    def test_explicit_subset_of_wrong_length_exits_one(self, skewed_pair, capsys, kmer):
+        x, y = skewed_pair
+        code, out, err = run(capsys, "estimate", "--estimator", "general-k", "--x", str(x),
+                             "--y", str(y), "-k", "3", "--subset", f"explicit:{kmer}")
+        assert code == 1 and not out
+        assert f"{kmer!r} has length {len(kmer)}, source table k=3" in err
+
     def test_count_past_int64_exits_one(self, skewed_pair, tmp_path, capsys):
         x, _ = skewed_pair
         xt, xr = tmp_path / "x.tsv", tmp_path / "x.reads"

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from mutrate.errors import EmptyRetainedSet, NoRootInRange, SingularDenominator
+from mutrate.errors import EmptyRetainedSet, MismatchedK, NoRootInRange, SingularDenominator
 from mutrate.estimators import (
     EstimatorId,
     SubsetSpec,
@@ -230,6 +230,14 @@ class TestGeneralK:
         with pytest.raises(ValueError):
             SubsetSpec.top(0)
 
+    def test_explicit_kmers_must_have_length_k(self):
+        # "AC" packs like "AAC" and "AACG" past 4^3; both must name the k-mer
+        t = count_kmers_sequence(CircularSequence.from_string("AACGTAACGG"), 3)
+        with pytest.raises(MismatchedK, match=r"'AC' has length 2, source table k=3"):
+            SubsetSpec.explicit(["AAC", "AC"]).resolve(t)
+        with pytest.raises(MismatchedK, match=r"'AACG' has length 4, source table k=3"):
+            SubsetSpec.explicit(["AACG"]).resolve(t)
+
     def test_top_subset_takes_heaviest(self):
         t = KmerTable.from_mapping(2, {"AA": 5, "CC": 9, "GG": 9, "TT": 1})
         keys = SubsetSpec.top(2).resolve(t)
@@ -387,6 +395,25 @@ class TestLargeKReads:
             select_lambda(hx, 0.03).lam >= select_lambda(hx, 0.01).lam
         )
         assert abs(bound.p_raw - 0.05) < 0.05 and abs(exact.p_raw - 0.05) < 0.05
+
+
+@pytest.mark.parametrize(
+    "estimate, source_provenance",
+    [
+        (lambda x, y: estimate_general_k(x, y, SubsetSpec.top(2)), "sequence"),
+        (estimate_large_k_seq, "sequence"),
+        (lambda x, y: estimate_large_k_reads(x, y, 0.01), "reads"),
+    ],
+)
+def test_mutated_table_must_share_provenance(estimate, source_provenance):
+    # a reads table against a sequence table compares counts of different
+    # volumes; it must fail instead of giving a rate
+    counts = {"AAA": 5, "ACG": 3, "TTT": 2}
+    other = "reads" if source_provenance == "sequence" else "sequence"
+    source = KmerTable.from_mapping(3, counts, provenance=source_provenance)
+    with pytest.raises(ValueError, match="provenance"):
+        estimate(source, KmerTable.from_mapping(3, counts, provenance=other))
+    estimate(source, KmerTable.from_mapping(3, counts, provenance=source_provenance))
 
 
 class TestRootFinder:

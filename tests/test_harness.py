@@ -177,6 +177,15 @@ class TestRunExperiment:
         stats = summarize(records)[records[0].grid_point]
         assert stats.count == 0 and stats.error_count == 3
 
+    def test_explicit_subset_of_wrong_length_is_a_mismatched_k_trial(self):
+        cfg = nonseq_config(
+            estimators=(EstimatorId.GENERAL_K,),
+            k_values=(3,),
+            subset=SubsetSpec.explicit(["AC"]),
+            trials_per_point=2,
+        )
+        assert [r.error for r in run_experiment(cfg)] == ["mismatched-k"] * 2
+
     def test_seq_mode_runs_all_read_estimators(self):
         cfg = nonseq_config(
             source=IidSource(3000, SKEWED),

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -11,6 +11,7 @@ from mutrate.kmers import (
     count_kmers_reads,
     count_kmers_sequence,
     decode_kmer,
+    distance_profile,
     encode_kmer,
     expected_kmer_count,
     merge_tables,
@@ -55,6 +56,30 @@ class TestHamming:
                 assert mat[i, j] == oracles.hamming(a, b)
 
 
+@st.composite
+def profile_case(draw):
+    k = draw(st.sampled_from([1, 2, 5, 31, 32]))
+    word = st.text(alphabet="ACGT", min_size=k, max_size=k)
+    source = draw(st.dictionaries(word, st.integers(1, 10**6), max_size=12))
+    return k, source, draw(st.lists(word, max_size=6))
+
+
+class TestDistanceProfile:
+    @given(profile_case())
+    @example((5, {"ACGTA": 4, "TTTTT": 2}, []))
+    @example((32, {"T" * 32: 3, "G" + "A" * 31: 2, "A" * 32: 1}, ["T" * 32, "G" * 32, "T" * 32]))
+    def test_against_oracle(self, case):
+        # targets need not be in the source and count once per listing
+        k, source, targets = case
+        want = np.zeros(k + 1)
+        for t in targets:
+            for w, c in source.items():
+                want[oracles.hamming(t, w)] += c
+        packed = np.array([encode_kmer(t) for t in targets], dtype=np.uint64)
+        got = distance_profile(packed, KmerTable.from_mapping(k, source), k)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+
+
 class TestCounting:
     def test_homopolymer(self):
         t = count_kmers_sequence(CircularSequence.from_string("AAAA"), 2)
@@ -68,7 +93,10 @@ class TestCounting:
         t = count_kmers_sequence(CircularSequence.from_string("ACAC"), 3)
         assert t.to_dict() == {"ACA": 2, "CAC": 2}
 
-    @given(dna, st.integers(1, 6))
+    @given(dna, st.integers(1, MAX_K))
+    @example("ACGTTGCA", 8)
+    @example("TTGCA" * 7, 32)
+    @example("GT" * 16, 32)
     def test_against_oracle(self, text, k):
         if k > len(text):
             return

@@ -1,9 +1,9 @@
 """k-mer counting and spectra for circular sequences and read sets.
 
 k-mers are packed two bits per symbol (A=00, C=01, G=10, T=11, leftmost
-symbol in the highest bits) into Python ints, which keeps table keys hashable
-and the packing exact for k up to 32. Counting runs over uint64 arrays and
-``np.unique``; nothing here materializes all 4^k strings.
+symbol in the highest bits) into uint64, exact for k up to 32; table keys
+are sorted uint64 arrays. Counting sorts the packed windows in place and
+tallies the runs of equal keys; nothing materializes all 4^k strings.
 """
 
 from __future__ import annotations
@@ -82,16 +82,35 @@ def lookup(keys: np.ndarray, values: np.ndarray, wanted) -> np.ndarray:
 
 
 def _pack_read_windows(matrix: np.ndarray, k: int) -> np.ndarray:
-    """Pack the (L - k + 1) linear windows of every read; flat result."""
+    """Pack the (L - k + 1) linear windows of every read; flat uint64 result. Windows
+    of 2m symbols are those of m shifted 2m bits OR those m columns on, in the narrowest
+    dtype that fits; the levels at the binary digits of k join lowest digit first."""
     N, L = matrix.shape
     if k > L:
         raise ValueError(f"k={k} exceeds read length {L}")
-    w = L - k + 1
-    vals = np.zeros((N, w), dtype=np.uint64)
-    for j in range(k):
-        vals <<= np.uint64(2)
-        vals |= matrix[:, j : j + w].astype(np.uint64)
-    return vals.reshape(-1)
+    res = np.zeros((N, L - k + 1), dtype=np.uint64)
+    level, m = matrix, 1
+    while True:
+        if k & m:  # the lower digits already fill the first k & (m - 1) symbols
+            res <<= np.uint64(2 * m)
+            res |= level[:, k & (m - 1) :][:, : res.shape[1]]
+        if 2 * m > k:
+            return res.reshape(-1)
+        dt = np.min_scalar_type(4 ** (2 * m) - 1)  # NumPy 1 promotes uint64 op int64 to float64
+        nxt = np.left_shift(level[:, :-m], dt.type(2 * m), dtype=dt)
+        level, m = np.bitwise_or(nxt, level[:, m:], out=nxt), 2 * m
+
+
+def _run_bounds(sorted_keys: np.ndarray) -> np.ndarray:
+    """Start of each run of equal keys, then an end bound: [:-1] are starts, diff is lengths."""
+    return np.flatnonzero(np.r_[sorted_keys.size > 0, sorted_keys[1:] != sorted_keys[:-1], True])
+
+
+def _tally(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values ascending and their counts; sorts ``vals`` in place."""
+    vals.sort()
+    bounds = _run_bounds(vals)
+    return vals[bounds[:-1]], np.diff(bounds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,8 +215,7 @@ def count_kmers_sequence(x: CircularSequence, k: int) -> KmerTable:
     if k > len(x):
         raise ValueError(f"k={k} exceeds sequence length {len(x)}")
     vals = _pack_read_windows(np.concatenate([x.codes, x.codes[: k - 1]])[None, :], k)
-    keys, counts = np.unique(vals, return_counts=True)
-    return KmerTable(k, keys, counts.astype(np.int64), provenance="sequence")
+    return KmerTable(k, *_tally(vals), provenance="sequence")
 
 
 def count_kmers_reads(reads: ReadSet, k: int) -> KmerTable:
@@ -209,9 +227,7 @@ def count_kmers_reads(reads: ReadSet, k: int) -> KmerTable:
     _check_k(k)
     if reads.num_reads == 0:
         return KmerTable(k, np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64), provenance="reads")
-    vals = _pack_read_windows(reads.matrix, k)
-    keys, counts = np.unique(vals, return_counts=True)
-    return KmerTable(k, keys, counts.astype(np.int64), provenance="reads")
+    return KmerTable(k, *_tally(_pack_read_windows(reads.matrix, k)), provenance="reads")
 
 
 def merge_tables(a: KmerTable, b: KmerTable) -> KmerTable:
@@ -221,11 +237,10 @@ def merge_tables(a: KmerTable, b: KmerTable) -> KmerTable:
     if a.provenance != b.provenance:
         raise ValueError(f"cannot merge provenance {a.provenance!r} with {b.provenance!r}")
     keys = np.concatenate([a.keys, b.keys])
-    counts = np.concatenate([a.counts, b.counts])
-    uk, inv = np.unique(keys, return_inverse=True)
-    summed = np.zeros(uk.size, dtype=np.int64)
-    np.add.at(summed, inv, counts)
-    return KmerTable(a.k, uk, summed, a.provenance)
+    order = np.argsort(keys, kind="stable")
+    starts = _run_bounds(keys[order])[:-1]
+    summed = np.add.reduceat(np.concatenate([a.counts, b.counts])[order], starts)
+    return KmerTable(a.k, keys[order[starts]], summed, a.provenance)
 
 
 def expected_kmer_count(

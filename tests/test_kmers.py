@@ -24,6 +24,7 @@ from mutrate.model import (
     codes_to_string,
     generate_iid_sequence,
     sample_reads,
+    string_to_codes,
 )
 
 dna = st.text(alphabet="ACGT", min_size=1, max_size=40)
@@ -80,6 +81,13 @@ class TestDistanceProfile:
         assert got.dtype == np.float64 and np.array_equal(got, want)
 
 
+@st.composite
+def read_case(draw):
+    k = draw(st.integers(1, MAX_K))
+    L = draw(st.integers(k, k + 8))
+    return k, draw(st.lists(st.text(alphabet="ACGT", min_size=L, max_size=L), min_size=1, max_size=6))
+
+
 class TestCounting:
     def test_homopolymer(self):
         t = count_kmers_sequence(CircularSequence.from_string("AAAA"), 2)
@@ -119,6 +127,22 @@ class TestCounting:
             for w, c in oracles.linear_kmer_counts(codes_to_string(row), 2).items():
                 expected[w] = expected.get(w, 0) + c
         assert t.to_dict() == expected
+
+    @given(read_case())
+    @example((12, ["ACGTTGCAAGTC", "TTTTGGGGCCCA"]))  # k = L: one window per read
+    @example((31, ["ACGTTGCAAGTCCGATTACAGGTACCATGCAATG", "T" * 31 + "GCA"]))  # 31 = 11111b
+    @example((32, ["GT" * 20, "TGGTTTGGGTTTTGTG" * 2 + "GTTGTTGG", "G" * 32 + "TTTTTTTT"]))  # keys >= 2^63
+    @example((9, ["ACGTACGTTGCAGGCTTA"]))  # a single read
+    def test_reads_against_oracle(self, case):
+        k, rows = case
+        rs = ReadSet(np.array([string_to_codes(r) for r in rows]), 100)
+        t = count_kmers_reads(rs, k)
+        expected: dict[str, int] = {}
+        for r in rows:
+            for w, c in oracles.linear_kmer_counts(r, k).items():
+                expected[w] = expected.get(w, 0) + c
+        assert t.provenance == "reads" and t.to_dict() == expected
+        assert t.total == len(rows) * (len(rows[0]) - k + 1)
 
     def test_k_above_read_len_rejected(self):
         x = CircularSequence.from_string("ACGTACGT")
@@ -163,6 +187,8 @@ class TestTable:
         m = merge_tables(a, b)
         assert m.to_dict() == {"AC": 1, "GG": 5, "TT": 1}
         assert m.total == a.total + b.total
+        empty = KmerTable(2, np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64))
+        assert merge_tables(a, empty) == a and merge_tables(empty, empty) == empty
 
     def test_merge_requires_same_k_and_provenance(self):
         a = KmerTable.from_mapping(2, {"AC": 1})
@@ -179,6 +205,14 @@ class TestTable:
         pooled = ReadSet(np.vstack([rs_a.matrix, rs_b.matrix]), len(x))
         merged = merge_tables(count_kmers_reads(rs_a, 3), count_kmers_reads(rs_b, 3))
         assert merged == count_kmers_reads(pooled, 3)
+        # at k=32 every G- or T-led key is 2^63 or more; the batches share keys
+        gt = CircularSequence.from_string("GGTGTTGTGGGTTTGTGTGGTTGTTTGGGTGTGTTGGTGTTTGG")
+        rs_c = sample_reads(gt, 40, 12, SubstitutionChannel(0.0), rng_seed=6)
+        rs_d = sample_reads(gt, 40, 9, SubstitutionChannel(0.0), rng_seed=7)
+        c, d = count_kmers_reads(rs_c, 32), count_kmers_reads(rs_d, 32)
+        assert c.keys.min() >= np.uint64(2**63) and np.intersect1d(c.keys, d.keys).size
+        pooled = ReadSet(np.vstack([rs_c.matrix, rs_d.matrix]), len(gt))
+        assert merge_tables(c, d) == count_kmers_reads(pooled, 32)
 
 
 class TestExpectedCount:

@@ -1,8 +1,9 @@
 """File formats: FASTA in/out, k-mer count tables, and read sets.
 
-All formats are plain text. The two tabular formats carry a single
-tab-separated header line of ``#key=value`` fields that pins the parameters
-needed to interpret the rows; readers verify the rows against it.
+All formats are plain text. The two tabular formats are ASCII and carry a
+single tab-separated header line of ``#key=value`` fields that pins the
+parameters needed to interpret the rows; readers verify the rows against it.
+Each format has one reader, and its errors name the file and the first bad line.
 """
 
 from __future__ import annotations
@@ -13,10 +14,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FastaParseError
-from .kmers import MAX_K, KmerTable, encode_kmer
-from .model import _BYTE_TO_CODE, _CODE_TO_BYTE, CircularSequence, ReadSet, string_to_codes
+from .kmers import MAX_K, KmerTable
+from .model import _BYTE_TO_CODE, _CODE_TO_BYTE, CircularSequence, ReadSet
 
 FASTA_LINE_WIDTH = 70
+_NL = ord("\n")
+_TAB = ord("\t")
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,11 @@ def _record_codes(lines: list[str], linenos: list[int], on_invalid: str) -> tupl
 
 
 def read_fasta(path: str | Path, on_invalid: str = "error") -> list[FastaRecord]:
-    return parse_fasta(Path(path).read_text(), on_invalid)
+    """:func:`parse_fasta` of a file; errors name the file."""
+    try:
+        return parse_fasta(Path(path).read_text(), on_invalid)
+    except (FastaParseError, UnicodeDecodeError) as exc:
+        raise FastaParseError(f"{path}: {exc}") from None
 
 
 def write_fasta(path: str | Path, records: list[FastaRecord] | list[tuple[str, CircularSequence]]) -> None:
@@ -111,39 +118,54 @@ def write_fasta(path: str | Path, records: list[FastaRecord] | list[tuple[str, C
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _parse_header(line: str, expected_keys: tuple[str, ...], where: str) -> dict[str, str]:
-    fields = line.rstrip("\n").split("\t")
+def _parse_header(line: str, expected_keys: tuple[str, ...], where: str) -> list[str]:
+    fields = line.split("\t")
     if len(fields) != len(expected_keys):
-        raise ValueError(
-            f"{where}: header must have fields {expected_keys}, got {len(fields)} fields"
-        )
-    out = {}
+        raise ValueError(f"{where}: header must have fields {expected_keys}, got {len(fields)} fields")
     for field, key in zip(fields, expected_keys):
-        prefix = f"#{key}="
-        if not field.startswith(prefix):
-            raise ValueError(f"{where}: expected header field {prefix}<value>, got {field!r}")
-        out[key] = field[len(prefix) :]
-    return out
+        if not field.startswith(f"#{key}="):
+            raise ValueError(f"{where}: expected header field #{key}=<value>, got {field!r}")
+    return [field.split("=", 1)[1] for field in fields]
 
 
-def _split_canonical(data: bytes) -> tuple[str, np.ndarray] | None:
-    """Header line and body bytes of an ASCII file with ``\\n`` line ends.
+def _split_rows(path: Path) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
+    """Header line, file bytes, and the start and end of every non-blank row
+    after the header. ``\\r\\n`` and a lone ``\\r`` end a line as ``\\n``
+    does, the last line end is optional and non-ASCII bytes are errors."""
+    data = path.read_bytes()
+    if not data:
+        raise ValueError(f"{path}: empty file")
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    raw = np.frombuffer(data, dtype=np.uint8)
+    if not data.isascii():
+        pos = int(np.argmax(raw >= 0x80))
+        raise ValueError(f"{path}, line {_line(raw, pos)}: non-ASCII byte 0x{raw[pos]:02x}")
+    ends = np.flatnonzero(raw == _NL)
+    if raw[-1] != _NL:
+        ends = np.append(ends, raw.size)
+    header = data[: ends[0]].decode("ascii")
+    starts, ends = ends[:-1] + 1, ends[1:]
+    filled = ends > starts
+    if not filled.all():
+        starts, ends = starts[filled], ends[filled]
+    return header, raw, starts, ends
 
-    ``None`` for anything else (empty, non-ASCII or ``\\r`` in the header):
-    such files go to the text-mode row loops, which decode and split lines
-    as they always have and raise the same messages.
-    """
-    cut = data.find(b"\n") + 1 or len(data)
-    head = data[:cut]
-    if not head or not head.isascii() or b"\r" in head:
-        return None
-    return head.decode("ascii"), np.frombuffer(data, dtype=np.uint8)[cut:]
+
+def _line(raw: np.ndarray, pos: int) -> int:
+    """Line number of the byte at ``pos``, counted afresh: errors only need one."""
+    return 1 + int(np.count_nonzero(raw[:pos] == _NL))
+
+
+def _first(bad: np.ndarray, default: int) -> int:
+    return int(np.argmax(bad)) if bad.any() else default
 
 
 # --- k-mer count tables -----------------------------------------------------
 
-_MAX_COUNT_DIGITS = 18  # any 18-digit count fits in int64
-_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+_MAX_COUNT_DIGITS = 19  # as many as int64 needs; any 19-digit count fits in uint64
+_POW10 = 10 ** np.arange(_MAX_COUNT_DIGITS, dtype=np.uint64)
+_INT64_MAX = 2**63 - 1
 
 
 def write_kmer_table(path: str | Path, table: KmerTable) -> None:
@@ -157,7 +179,7 @@ def write_kmer_table(path: str | Path, table: KmerTable) -> None:
 
 def _format_table_rows(k: int, keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``KMER\\tCOUNT\\n`` rows laid out in one buffer, one column at a time."""
-    ndigits = 1 + np.searchsorted(_POW10, counts, side="right")
+    ndigits = np.searchsorted(_POW10, counts.view(np.uint64), side="right")
     lengths = k + 2 + ndigits  # k-mer, tab, digits, newline
     ends = np.cumsum(lengths)  # one past each row's newline
     starts = ends - lengths
@@ -181,117 +203,86 @@ def _format_table_rows(k: int, keys: np.ndarray, counts: np.ndarray) -> np.ndarr
 
 
 def _table_header(line: str, where: str) -> tuple[int, int, str]:
-    header = _parse_header(line, ("k", "total", "provenance"), where)
+    k, total, provenance = _parse_header(line, ("k", "total", "provenance"), where)
     try:
-        k = int(header["k"])
-        total = int(header["total"])
+        k, total = int(k), int(total)
     except ValueError:
         raise ValueError(f"{where}: k and total must be integers") from None
-    provenance = header["provenance"]
     if provenance not in ("sequence", "reads"):
         raise ValueError(f"{where}: provenance must be 'sequence' or 'reads', got {provenance!r}")
+    if not 1 <= k <= MAX_K:
+        raise ValueError(f"{where}: k must be in 1..{MAX_K}, got {k}")
     return k, total, provenance
 
 
 def read_kmer_table(path: str | Path) -> KmerTable:
     """Inverse of :func:`write_kmer_table`.
 
-    A file in the writer's form (lowercase k-mers too) is parsed as whole
-    arrays. Any other body, such as one with CRLF line ends, blank lines,
-    signed or padded counts or a malformed row, goes to the row loop, which
-    accepts what it always accepted and names the first bad line.
+    A row is k symbols of ``ACGTacgt``, a tab and a count of 1-19 decimal
+    digits from 1 to 2^63 - 1. Errors name the file and the first bad line.
     """
     path = Path(path)
-    split = _split_canonical(path.read_bytes())
-    if split is None:
-        return _read_kmer_table_rows(path)
-    k, total, provenance = _table_header(split[0], str(path))
-    rows = _parse_table_rows(split[1], k)
-    if rows is None:
-        return _read_kmer_table_rows(path)
-    return _checked_table(KmerTable(k, *rows, provenance), total, path)
-
-
-def _parse_table_rows(body: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Keys and counts of ``KMER\\tCOUNT\\n`` rows with 1-18 digit counts;
-    ``None`` if any row is not of that form or has count 0."""
-    if not 1 <= k <= MAX_K or (body.size and body[-1] != ord("\n")):
-        return None
-    ends = np.flatnonzero(body == ord("\n"))
-    starts = np.empty_like(ends)
-    starts[:1] = 0
-    starts[1:] = ends[:-1] + 1
+    header, raw, starts, ends = _split_rows(path)
+    k, total, provenance = _table_header(header, str(path))
+    # rows before the first of a bad width can be read column by column
     ndigits = ends - starts - (k + 1)
-    if ndigits.size and not (ndigits.min() >= 1 and ndigits.max() <= _MAX_COUNT_DIGITS):
-        return None
-    if np.any(body[starts + k] != ord("\t")):
-        return None
-    keys = np.zeros(starts.size, dtype=np.uint64)
+    n = _first((ndigits < 1) | (ndigits > _MAX_COUNT_DIGITS), starts.size)
+    first, ndigits = starts[:n], ndigits[:n]
+    keys = np.zeros(n, dtype=np.uint64)
+    symbols = np.zeros(n, dtype=np.uint8)  # OR of a row's codes: above 3 unless all are bases
     for j in range(k):
-        codes = _BYTE_TO_CODE[body[starts + j]]
-        if codes.size and codes.max() > 3:
-            return None
+        codes = _BYTE_TO_CODE.take(raw[first + j])
+        symbols |= codes
         keys <<= np.uint64(2)
         keys |= codes
-    # digits right to left; a row drops out after its last digit
-    counts = np.zeros(starts.size, dtype=np.int64)
-    pos, rows = ends - 1, np.arange(starts.size)
-    for d in range(int(ndigits.max()) if ndigits.size else 0):
-        digit = body[pos] - np.uint8(ord("0"))  # non-digits wrap above 9
-        if digit.max() > 9:
-            return None
-        # widen first: NumPy 1 keeps uint8 * scalar in the smallest dtype that
-        # holds the scalar, so the product would wrap
-        counts[rows] += digit.astype(np.int64) * 10**d
+    bad = (symbols > 3) | (raw[first + k] != _TAB)
+    # digits right to left; a row drops out after its last digit. Any 19
+    # digits fit in uint64, so a count past int64 is caught, not wrapped.
+    counts = np.zeros(n, dtype=np.uint64)
+    pos, rows = ends[:n] - 1, np.arange(n)
+    for d in range(int(ndigits.max()) if n else 0):
+        digit = raw[pos] - np.uint8(ord("0"))  # non-digits wrap above 9
+        bad[rows] |= digit > 9
+        counts[rows] += digit.astype(np.uint64) * _POW10[d]
         live = ndigits[rows] > d + 1
         pos, rows = pos[live] - 1, rows[live]
-    if counts.size and counts.min() == 0:
-        return None
-    return keys, counts
-
-
-def _checked_table(table: KmerTable, total: int, path: Path) -> KmerTable:
+    n = _first(bad | (counts == 0) | (counts > np.uint64(_INT64_MAX)), n)
+    if n < starts.size:
+        row = raw[starts[n] : ends[n]]
+        raise ValueError(f"{path}, line {_line(raw, starts[n])}: {_table_row_error(row, k)}")
+    if np.any(keys[1:] <= keys[:-1]):  # KmerTable sorts them; a repeat is named here
+        order = np.argsort(keys, kind="stable")
+        repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+        if repeats.size:
+            again = repeats.min()
+            kmer = raw[starts[again] : starts[again] + k].tobytes().decode("ascii")
+            earlier = _line(raw, starts[np.argmax(keys == keys[again])])
+            raise ValueError(f"{path}, line {_line(raw, starts[again])}: k-mer {kmer!r} repeats line {earlier}")
+    table = KmerTable(k, keys, counts.view(np.int64), provenance)
     if table.total != total:
         raise ValueError(f"{path}: header total {total} but rows sum to {table.total}")
     return table
 
 
-def _read_kmer_table_rows(path: Path) -> KmerTable:
-    with path.open() as fh:
-        header_line = fh.readline()
-        if not header_line:
-            raise ValueError(f"{path}: empty file")
-        k, total, provenance = _table_header(header_line, str(path))
-        keys = []
-        counts = []
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}, line {lineno}: expected 'KMER\\tCOUNT'")
-            kmer, count_text = parts
-            if len(kmer) != k:
-                raise ValueError(
-                    f"{path}, line {lineno}: k-mer {kmer!r} has length {len(kmer)}, header says k={k}"
-                )
-            try:
-                count = int(count_text)
-            except ValueError:
-                raise ValueError(f"{path}, line {lineno}: count {count_text!r} is not an integer") from None
-            if count <= 0:
-                raise ValueError(f"{path}, line {lineno}: count must be positive, got {count}")
-            if count >= 2**63:
-                raise ValueError(f"{path}, line {lineno}: count {count} exceeds int64")
-            try:
-                keys.append(encode_kmer(kmer))
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {lineno}: {exc}") from None
-            counts.append(count)
-    keys_arr = np.array(keys, dtype=np.uint64) if keys else np.empty(0, dtype=np.uint64)
-    counts_arr = np.array(counts, dtype=np.int64) if counts else np.empty(0, dtype=np.int64)
-    return _checked_table(KmerTable(k, keys_arr, counts_arr, provenance), total, path)
+def _table_row_error(row: np.ndarray, k: int) -> str:
+    """What is wrong with a row, checked in a fixed order."""
+    parts = row.tobytes().decode("ascii").split("\t")
+    if len(parts) != 2:
+        return "expected 'KMER\\tCOUNT'"
+    kmer, count_text = parts
+    if len(kmer) != k:
+        return f"k-mer {kmer!r} has length {len(kmer)}, header says k={k}"
+    if not count_text.isdigit():
+        return f"count {count_text!r} is not an integer"
+    count = int(count_text)
+    if count == 0:
+        return "count must be positive, got 0"
+    if count > _INT64_MAX:
+        return f"count {count} exceeds int64"
+    if len(count_text) > _MAX_COUNT_DIGITS:
+        return f"count {count_text!r} has more than {_MAX_COUNT_DIGITS} digits"
+    ch = next(ch for ch in kmer if ch not in "ACGTacgt")
+    return f"invalid nucleotide {ch!r} in k-mer {kmer!r}"
 
 
 # --- read sets ---------------------------------------------------------------
@@ -313,11 +304,9 @@ def write_reads(path: str | Path, reads: ReadSet) -> None:
 
 
 def _reads_header(line: str, where: str) -> tuple[int, int, int]:
-    header = _parse_header(line, ("L", "N", "G"), where)
+    fields = _parse_header(line, ("L", "N", "G"), where)
     try:
-        L = int(header["L"])
-        N = int(header["N"])
-        G = int(header["G"])
+        L, N, G = map(int, fields)
     except ValueError:
         raise ValueError(f"{where}: L, N, G must be integers") from None
     if L < 1 or N < 0 or G < 1:
@@ -326,46 +315,28 @@ def _reads_header(line: str, where: str) -> tuple[int, int, int]:
 
 
 def read_reads(path: str | Path) -> ReadSet:
-    """Inverse of :func:`write_reads`. A body of exactly N rows of L symbols
-    and a ``\\n`` is decoded as one block; anything else row by row."""
+    """Inverse of :func:`write_reads`: N rows of L symbols of ``ACGTacgt``."""
     path = Path(path)
-    split = _split_canonical(path.read_bytes())
-    if split is None:
-        return _read_reads_rows(path)
-    L, N, G = _reads_header(split[0], str(path))
-    body = split[1]
-    if body.size != N * (L + 1):
-        return _read_reads_rows(path)
-    rows = body.reshape(N, L + 1)
-    codes = _BYTE_TO_CODE[rows[:, :L]]
-    if np.any(rows[:, L] != ord("\n")) or (codes.size and codes.max() > 3):
-        return _read_reads_rows(path)
+    header, raw, starts, ends = _split_rows(path)
+    L, N, G = _reads_header(header, str(path))
+    # rows before the first of a bad length or past N: symbols and line ends only
+    n = min(N, _first(ends - starts != L, starts.size))
+    block = bytearray(raw[starts[0] : ends[n - 1]] if n else raw[:0])
+    codes = np.frombuffer(block.translate(_BYTE_TO_CODE.tobytes(), b"\n"), dtype=np.uint8).reshape(n, L)
+    n = _first(codes.max(axis=1) > 3, n)
+    if n < starts.size:
+        row = raw[starts[n] : ends[n]]
+        raise ValueError(f"{path}, line {_line(raw, starts[n])}: {_reads_row_error(row, n, L, N)}")
+    if n != N:
+        raise ValueError(f"{path}: header says N={N} reads but found {n}")
     return ReadSet(codes, G)
 
 
-def _read_reads_rows(path: Path) -> ReadSet:
-    with path.open() as fh:
-        header_line = fh.readline()
-        if not header_line:
-            raise ValueError(f"{path}: empty file")
-        L, N, G = _reads_header(header_line, str(path))
-        matrix = np.empty((N, L), dtype=np.uint8)
-        n_seen = 0
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if n_seen >= N:
-                raise ValueError(f"{path}, line {lineno}: more than N={N} reads")
-            if len(line) != L:
-                raise ValueError(
-                    f"{path}, line {lineno}: read length {len(line)} but header says L={L}"
-                )
-            try:
-                matrix[n_seen] = string_to_codes(line)
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {lineno}: {exc}") from None
-            n_seen += 1
-    if n_seen != N:
-        raise ValueError(f"{path}: header says N={N} reads but found {n_seen}")
-    return ReadSet(matrix, G)
+def _reads_row_error(row: np.ndarray, i: int, L: int, N: int) -> str:
+    """What is wrong with row ``i``, checked in a fixed order."""
+    if i >= N:
+        return f"more than N={N} reads"
+    if row.size != L:
+        return f"read length {row.size} but header says L={L}"
+    pos = int(np.argmax(_BYTE_TO_CODE[row] > 3))
+    return f"non-ACGT symbol {chr(row[pos])!r} at position {pos + 1}"

@@ -123,3 +123,106 @@ def fasta_records(text: str, on_invalid: str) -> list[tuple[str, str, int]]:
     if not records:
         raise ValueError("no records found")
     return records
+
+
+def _ascii_lines(path) -> list[str]:
+    """A file's lines, split with universal newlines; a character outside
+    ASCII is an error naming its line and byte."""
+    with open(path, encoding="latin-1", newline=None) as fh:
+        lines = [line.rstrip("\n") for line in fh]
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    for lineno, line in enumerate(lines, start=1):
+        for ch in line:
+            if ord(ch) > 127:
+                raise ValueError(f"{path}, line {lineno}: non-ASCII byte 0x{ord(ch):02x}")
+    return lines
+
+
+def _header_values(line: str, keys: tuple[str, ...], path) -> list[str]:
+    fields = line.split("\t")
+    if len(fields) != len(keys):
+        raise ValueError(f"{path}: header must have fields {keys}, got {len(fields)} fields")
+    values = []
+    for field, key in zip(fields, keys):
+        prefix = f"#{key}="
+        if not field.startswith(prefix):
+            raise ValueError(f"{path}: expected header field {prefix}<value>, got {field!r}")
+        values.append(field[len(prefix) :])
+    return values
+
+
+def kmer_table_rows(path) -> tuple[int, str, list[tuple[str, int]]]:
+    """(k, provenance, (uppercase k-mer, count) rows in k-mer order) of a
+    k-mer table file, checked one line at a time. Raises ValueError with
+    read_kmer_table's message."""
+    header, *rows = _ascii_lines(path)
+    k, total, provenance = _header_values(header, ("k", "total", "provenance"), path)
+    try:
+        k, total = int(k), int(total)
+    except ValueError:
+        raise ValueError(f"{path}: k and total must be integers") from None
+    if provenance not in ("sequence", "reads"):
+        raise ValueError(f"{path}: provenance must be 'sequence' or 'reads', got {provenance!r}")
+    if not 1 <= k <= 32:
+        raise ValueError(f"{path}: k must be in 1..32, got {k}")
+    counts: dict[str, int] = {}
+    first_line: dict[str, int] = {}
+    for lineno, line in enumerate(rows, start=2):
+        if not line:
+            continue
+        where = f"{path}, line {lineno}"
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{where}: expected 'KMER\\tCOUNT'")
+        kmer, count_text = parts
+        if len(kmer) != k:
+            raise ValueError(f"{where}: k-mer {kmer!r} has length {len(kmer)}, header says k={k}")
+        if not count_text or any(ch not in "0123456789" for ch in count_text):
+            raise ValueError(f"{where}: count {count_text!r} is not an integer")
+        count = int(count_text)
+        if count == 0:
+            raise ValueError(f"{where}: count must be positive, got 0")
+        if count >= 2**63:
+            raise ValueError(f"{where}: count {count} exceeds int64")
+        if len(count_text) > 19:
+            raise ValueError(f"{where}: count {count_text!r} has more than 19 digits")
+        for ch in kmer:
+            if ch not in "ACGTacgt":
+                raise ValueError(f"{where}: invalid nucleotide {ch!r} in k-mer {kmer!r}")
+        if kmer.upper() in first_line:
+            raise ValueError(f"{where}: k-mer {kmer!r} repeats line {first_line[kmer.upper()]}")
+        first_line[kmer.upper()] = lineno
+        counts[kmer.upper()] = count
+    if sum(counts.values()) != total:
+        raise ValueError(f"{path}: header total {total} but rows sum to {sum(counts.values())}")
+    return k, provenance, sorted(counts.items())
+
+
+def reads_rows(path) -> tuple[list[str], int]:
+    """(uppercase reads, source length G) of a reads file, checked one line
+    at a time. Raises ValueError with read_reads's message."""
+    header, *rows = _ascii_lines(path)
+    values = _header_values(header, ("L", "N", "G"), path)
+    try:
+        L, N, G = (int(v) for v in values)
+    except ValueError:
+        raise ValueError(f"{path}: L, N, G must be integers") from None
+    if L < 1 or N < 0 or G < 1:
+        raise ValueError(f"{path}: need L >= 1, N >= 0, G >= 1")
+    reads: list[str] = []
+    for lineno, line in enumerate(rows, start=2):
+        if not line:
+            continue
+        where = f"{path}, line {lineno}"
+        if len(reads) >= N:
+            raise ValueError(f"{where}: more than N={N} reads")
+        if len(line) != L:
+            raise ValueError(f"{where}: read length {len(line)} but header says L={L}")
+        for pos, ch in enumerate(line, start=1):
+            if ch not in "ACGTacgt":
+                raise ValueError(f"{where}: non-ACGT symbol {ch!r} at position {pos}")
+        reads.append(line.upper())
+    if len(reads) != N:
+        raise ValueError(f"{path}: header says N={N} reads but found {len(reads)}")
+    return reads, G

@@ -232,6 +232,23 @@ class TestEstimate:
         assert code == 1 and not out
         assert err.startswith("error:") and "exceeds int64" in err
 
+    def test_reads_header_far_past_the_body_exits_one(self, tmp_path, capsys):
+        reads = tmp_path / "x.reads"
+        reads.write_text("#L=1000\t#N=1000000000000\t#G=10\n" + "A" * 1000 + "\n")
+        code, out, err = run(capsys, "estimate", "--estimator", "k1-reads",
+                             "--x-reads", str(reads), "--y-reads", str(reads))
+        assert code == 1 and not out
+        assert f"{reads}: header says N=1000000000000 reads but found 1" in err
+
+    @pytest.mark.parametrize("body", [b">s\nACNT\n", b">s\nAC\xffT\n"], ids=["bad-symbol", "not-utf-8"])
+    def test_fasta_errors_name_the_file(self, skewed_pair, tmp_path, capsys, body):
+        _, y = skewed_pair
+        x = tmp_path / "bad.fa"
+        x.write_bytes(body)
+        code, out, err = run(capsys, "estimate", "--estimator", "k1-single", "--x", str(x), "--y", str(y))
+        assert code == 1 and not out
+        assert err.startswith(f"error: {x}: ")
+
     def test_large_k_reads_requires_s(self, skewed_pair, tmp_path, capsys):
         x, _ = skewed_pair
         xr = tmp_path / "xr.reads"

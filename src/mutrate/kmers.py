@@ -17,6 +17,7 @@ from .errors import MismatchedK
 from .model import ALPHABET, CircularSequence, ReadSet
 
 MAX_K = 32
+_INT64_MAX = 2**63 - 1
 
 _BYTE_TO_CODE = {ch: i for i, ch in enumerate(ALPHABET)}
 
@@ -135,6 +136,11 @@ class KmerTable:
             raise ValueError("keys and counts must be 1-D arrays of equal length")
         if np.any(counts <= 0):
             raise ValueError("counts must be positive (absent k-mers are implicit zeros)")
+        if counts.size and int(counts.max()) > _INT64_MAX // counts.size:
+            # one int64 sum could wrap; sums of the 32-bit halves cannot
+            total = (int((counts >> 32).sum()) << 32) + int((counts & 0xFFFFFFFF).sum())
+            if total > _INT64_MAX:
+                raise ValueError(f"counts sum to {total}, past int64")
         if keys.size:
             # compared as uint64: keys of k=32 reach past 2^63
             if np.any(keys[1:] <= keys[:-1]):
@@ -171,7 +177,7 @@ class KmerTable:
 
     @property
     def total(self) -> int:
-        """Sum of all counts."""
+        """Sum of all counts; exact, as a table's counts sum to at most 2^63 - 1."""
         return int(self.counts.sum())
 
     @property

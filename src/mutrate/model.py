@@ -100,20 +100,41 @@ class SubstitutionChannel:
             raise ValueError(f"substitution rate must be in [0, 1), got {self.rate}")
 
 
-def _substitute(codes: np.ndarray, rate: float, rng: np.random.Generator) -> np.ndarray:
+_GAP_BLOCK = 1 << 16  # most gaps drawn at once: 512 KB of int64
+
+
+def _substitute(
+    codes: np.ndarray, rate: float, rng: np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
     """Apply the substitution channel to a code array of any shape.
 
-    Draw order (stable across runs for a given generator state): one uniform
-    per position in C order, then one alternative pick per substituted
-    position, again in C order.
+    The result is written to ``out``, a fresh copy of ``codes`` when None;
+    an ``out`` passed in must be C-contiguous. Hits are drawn by their gaps,
+    which are i.i.d. Geometric(``rate``), so the draws number O(size * rate).
+    Draw order (stable across runs for a given generator state), block by
+    block along the array in C order: a block of gaps, sized from the
+    expected hits left and capped at ``_GAP_BLOCK``, then one alternative
+    pick in 1..3 per hit of that block. The gaps of the last block that run
+    past the end are drawn and dropped. Rate 0 and an empty array draw
+    nothing.
     """
-    out = codes.copy()
-    u = rng.random(out.shape)
-    hit = u >= (1.0 - rate)
-    n_hit = int(np.count_nonzero(hit))
-    if n_hit:
-        offsets = rng.integers(1, 4, size=n_hit, dtype=np.uint8)
-        out[hit] = (out[hit] + offsets) % 4
+    out = codes.copy() if out is None else out
+    flat = out.reshape(-1)
+    n = flat.size
+    last = -1  # position of the latest hit
+    while rate > 0 and last < n - 1:
+        hits_left = rate * (n - 1 - last)
+        gaps = rng.geometric(rate, size=min(_GAP_BLOCK, int(hits_left + 3 * hits_left**0.5) + 1))
+        # a tiny rate saturates gaps at 2**63 - 1; n + 1 still lands past the
+        # end from last = -1, where n would make a false hit at n - 1
+        np.minimum(gaps, n + 1, out=gaps)
+        hits = np.cumsum(gaps, out=gaps)
+        hits += last
+        last = int(hits[-1])
+        if last >= n:
+            hits = hits[: np.searchsorted(hits, n)]
+        offsets = rng.integers(1, 4, size=hits.size, dtype=np.uint8)
+        flat[hits] = (flat[hits] + offsets) % 4
     return out
 
 
@@ -177,7 +198,9 @@ def sample_reads(
     Each start position is uniform over the sequence; reads wrap across the
     circular boundary. Every read then passes through ``error_channel``
     independently. Draw order: all start positions first, then the channel's
-    per-position draws over the whole (N, L) block in row-major order.
+    draws over the whole (N, L) block in row-major order: blocks of gaps
+    between hits, each followed by one alternative pick per hit (see
+    ``_substitute``). The channel works in place on the gathered block.
 
     Reads longer than the sequence are rejected unless ``allow_wrap_repeat``
     is set, in which case they keep wrapping around.
@@ -196,9 +219,9 @@ def sample_reads(
     starts = rng.integers(0, G, size=num_reads, dtype=np.int64)
     laps = (G + read_len - 1 + G - 1) // G
     ext = np.tile(x.codes, laps)[: G + read_len - 1]
-    windows = sliding_window_view(ext, read_len)[starts]
-    noisy = _substitute(windows, error_channel.rate, rng)
-    return ReadSet(noisy, G, _origins=starts)
+    reads = sliding_window_view(ext, read_len)[starts]
+    _substitute(reads, error_channel.rate, rng, out=reads)
+    return ReadSet(reads, G, _origins=starts)
 
 
 def generate_iid_sequence(length: int, distribution, rng_seed: int) -> CircularSequence:

@@ -8,13 +8,14 @@ Each format has one reader, and its errors name the file and the first bad line.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FastaParseError
-from .kmers import MAX_K, KmerTable
+from .kmers import _INT64_MAX, MAX_K, KmerTable
 from .model import _BYTE_TO_CODE, _CODE_TO_BYTE, CircularSequence, ReadSet
 
 FASTA_LINE_WIDTH = 70
@@ -128,11 +129,14 @@ def _parse_header(line: str, expected_keys: tuple[str, ...], where: str) -> list
     return [field.split("=", 1)[1] for field in fields]
 
 
-def _split_rows(path: Path) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
-    """Header line, file bytes, and the start and end of every non-blank row
-    after the header. ``\\r\\n`` and a lone ``\\r`` end a line as ``\\n``
-    does, the last line end is optional and non-ASCII bytes are errors."""
-    data = path.read_bytes()
+def _split_rows(
+    path: Path, data: bytes | bytearray
+) -> tuple[str, bytes | bytearray, np.ndarray, np.ndarray, np.ndarray]:
+    """Header line, the bytes ``data`` of file ``path`` (with line ends made
+    ``\\n``, and as an array viewing them), and the start and end of every
+    non-blank row after the header. ``\\r\\n`` and a lone ``\\r`` end a
+    line as ``\\n`` does, the last line end is optional and non-ASCII bytes
+    are errors."""
     if not data:
         raise ValueError(f"{path}: empty file")
     if b"\r" in data:
@@ -149,7 +153,7 @@ def _split_rows(path: Path) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
     filled = ends > starts
     if not filled.all():
         starts, ends = starts[filled], ends[filled]
-    return header, raw, starts, ends
+    return header, data, raw, starts, ends
 
 
 def _line(raw: np.ndarray, pos: int) -> int:
@@ -165,7 +169,6 @@ def _first(bad: np.ndarray, default: int) -> int:
 
 _MAX_COUNT_DIGITS = 19  # as many as int64 needs; any 19-digit count fits in uint64
 _POW10 = 10 ** np.arange(_MAX_COUNT_DIGITS, dtype=np.uint64)
-_INT64_MAX = 2**63 - 1
 
 
 def write_kmer_table(path: str | Path, table: KmerTable) -> None:
@@ -202,12 +205,19 @@ def _format_table_rows(k: int, keys: np.ndarray, counts: np.ndarray) -> np.ndarr
     return buf
 
 
+def _header_ints(values: list[str], names: str, where: str) -> list[int]:
+    """Header integers, held to the grammar of a row's count: ASCII digits only."""
+    try:
+        if all(v.isascii() and v.isdigit() for v in values):
+            return [int(v) for v in values]
+    except ValueError:  # past Python's limit on digits per int
+        pass
+    raise ValueError(f"{where}: {names} must be unsigned decimal integers")
+
+
 def _table_header(line: str, where: str) -> tuple[int, int, str]:
     k, total, provenance = _parse_header(line, ("k", "total", "provenance"), where)
-    try:
-        k, total = int(k), int(total)
-    except ValueError:
-        raise ValueError(f"{where}: k and total must be integers") from None
+    k, total = _header_ints([k, total], "k and total", where)
     if provenance not in ("sequence", "reads"):
         raise ValueError(f"{where}: provenance must be 'sequence' or 'reads', got {provenance!r}")
     if not 1 <= k <= MAX_K:
@@ -222,7 +232,7 @@ def read_kmer_table(path: str | Path) -> KmerTable:
     digits from 1 to 2^63 - 1. Errors name the file and the first bad line.
     """
     path = Path(path)
-    header, raw, starts, ends = _split_rows(path)
+    header, _, raw, starts, ends = _split_rows(path, path.read_bytes())
     k, total, provenance = _table_header(header, str(path))
     # rows before the first of a bad width can be read column by column
     ndigits = ends - starts - (k + 1)
@@ -258,7 +268,10 @@ def read_kmer_table(path: str | Path) -> KmerTable:
             kmer = raw[starts[again] : starts[again] + k].tobytes().decode("ascii")
             earlier = _line(raw, starts[np.argmax(keys == keys[again])])
             raise ValueError(f"{path}, line {_line(raw, starts[again])}: k-mer {kmer!r} repeats line {earlier}")
-    table = KmerTable(k, keys, counts.view(np.int64), provenance)
+    try:
+        table = KmerTable(k, keys, counts.view(np.int64), provenance)
+    except ValueError as exc:  # counts that sum past int64
+        raise ValueError(f"{path}: {exc}") from None
     if table.total != total:
         raise ValueError(f"{path}: header total {total} but rows sum to {table.total}")
     return table
@@ -304,12 +317,8 @@ def write_reads(path: str | Path, reads: ReadSet) -> None:
 
 
 def _reads_header(line: str, where: str) -> tuple[int, int, int]:
-    fields = _parse_header(line, ("L", "N", "G"), where)
-    try:
-        L, N, G = map(int, fields)
-    except ValueError:
-        raise ValueError(f"{where}: L, N, G must be integers") from None
-    if L < 1 or N < 0 or G < 1:
+    L, N, G = _header_ints(_parse_header(line, ("L", "N", "G"), where), "L, N, G", where)
+    if L < 1 or G < 1:
         raise ValueError(f"{where}: need L >= 1, N >= 0, G >= 1")
     return L, N, G
 
@@ -317,12 +326,16 @@ def _reads_header(line: str, where: str) -> tuple[int, int, int]:
 def read_reads(path: str | Path) -> ReadSet:
     """Inverse of :func:`write_reads`: N rows of L symbols of ``ACGTacgt``."""
     path = Path(path)
-    header, raw, starts, ends = _split_rows(path)
+    with path.open("rb") as fh:  # into a bytearray, so the codes translated from it are writable
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        del data[fh.readinto(data) :]
+    header, data, raw, starts, ends = _split_rows(path, data)
     L, N, G = _reads_header(header, str(path))
-    # rows before the first of a bad length or past N: symbols and line ends only
+    # rows before the first of a bad length or past N; with every line end
+    # deleted, they follow the header's bytes in the translated file
     n = min(N, _first(ends - starts != L, starts.size))
-    block = bytearray(raw[starts[0] : ends[n - 1]] if n else raw[:0])
-    codes = np.frombuffer(block.translate(_BYTE_TO_CODE.tobytes(), b"\n"), dtype=np.uint8).reshape(n, L)
+    codes = np.frombuffer(data.translate(_BYTE_TO_CODE.tobytes(), b"\n"), dtype=np.uint8)
+    codes = codes[len(header) : len(header) + n * L].reshape(n, L)
     n = _first(codes.max(axis=1) > 3, n)
     if n < starts.size:
         row = raw[starts[n] : ends[n]]

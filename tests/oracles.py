@@ -139,6 +139,10 @@ def _ascii_lines(path) -> list[str]:
     return lines
 
 
+def _digits(text: str) -> bool:
+    return bool(text) and all(ch in "0123456789" for ch in text)
+
+
 def _header_values(line: str, keys: tuple[str, ...], path) -> list[str]:
     fields = line.split("\t")
     if len(fields) != len(keys):
@@ -158,10 +162,9 @@ def kmer_table_rows(path) -> tuple[int, str, list[tuple[str, int]]]:
     read_kmer_table's message."""
     header, *rows = _ascii_lines(path)
     k, total, provenance = _header_values(header, ("k", "total", "provenance"), path)
-    try:
-        k, total = int(k), int(total)
-    except ValueError:
-        raise ValueError(f"{path}: k and total must be integers") from None
+    if not (_digits(k) and _digits(total)):
+        raise ValueError(f"{path}: k and total must be unsigned decimal integers")
+    k, total = int(k), int(total)
     if provenance not in ("sequence", "reads"):
         raise ValueError(f"{path}: provenance must be 'sequence' or 'reads', got {provenance!r}")
     if not 1 <= k <= 32:
@@ -194,6 +197,8 @@ def kmer_table_rows(path) -> tuple[int, str, list[tuple[str, int]]]:
             raise ValueError(f"{where}: k-mer {kmer!r} repeats line {first_line[kmer.upper()]}")
         first_line[kmer.upper()] = lineno
         counts[kmer.upper()] = count
+    if sum(counts.values()) >= 2**63:
+        raise ValueError(f"{path}: counts sum to {sum(counts.values())}, past int64")
     if sum(counts.values()) != total:
         raise ValueError(f"{path}: header total {total} but rows sum to {sum(counts.values())}")
     return k, provenance, sorted(counts.items())
@@ -204,11 +209,10 @@ def reads_rows(path) -> tuple[list[str], int]:
     at a time. Raises ValueError with read_reads's message."""
     header, *rows = _ascii_lines(path)
     values = _header_values(header, ("L", "N", "G"), path)
-    try:
-        L, N, G = (int(v) for v in values)
-    except ValueError:
-        raise ValueError(f"{path}: L, N, G must be integers") from None
-    if L < 1 or N < 0 or G < 1:
+    if not all(_digits(v) for v in values):
+        raise ValueError(f"{path}: L, N, G must be unsigned decimal integers")
+    L, N, G = (int(v) for v in values)
+    if L < 1 or G < 1:
         raise ValueError(f"{path}: need L >= 1, N >= 0, G >= 1")
     reads: list[str] = []
     for lineno, line in enumerate(rows, start=2):

@@ -232,6 +232,19 @@ class TestEstimate:
         assert code == 1 and not out
         assert err.startswith("error:") and "exceeds int64" in err
 
+    def test_counts_summing_past_int64_exit_one(self, skewed_pair, tmp_path, capsys):
+        # one int64 sum of these counts wraps to 2**63 - 3, the header's total
+        x, _ = skewed_pair
+        xt, xr = tmp_path / "x.tsv", tmp_path / "x.reads"
+        rows = "".join(f"{kmer}\t{2**63 - 1}\n" for kmer in ("AC", "CG", "GT"))
+        xt.write_text(f"#k=2\t#total={2**63 - 3}\t#provenance=reads\n" + rows)
+        run(capsys, "reads", "--in", str(x), "--read-len", "100", "--coverage", "1",
+            "--seed", "1", "--out", str(xr))
+        code, out, err = run(capsys, "estimate", "--estimator", "large-k-reads", "--s", "0.01",
+                             "--x-table", str(xt), "--y-reads", str(xr))
+        assert code == 1 and not out
+        assert err.startswith(f"error: {xt}: ") and "past int64" in err
+
     def test_reads_header_far_past_the_body_exits_one(self, tmp_path, capsys):
         reads = tmp_path / "x.reads"
         reads.write_text("#L=1000\t#N=1000000000000\t#G=10\n" + "A" * 1000 + "\n")

@@ -164,6 +164,13 @@ class TestTable:
         with pytest.raises(ValueError):
             KmerTable.from_mapping(2, {"AC": -1})
 
+    def test_total_is_exact_and_within_int64(self):
+        big = [2**62, 2**61, 5]  # max * size is past int64, the sum is not
+        assert KmerTable(2, np.arange(3, dtype=np.uint64), np.array(big)).total == sum(big)
+        top = np.full(2, 2**63 - 1, dtype=np.int64)  # one int64 sum wraps to -2
+        with pytest.raises(ValueError, match=f"counts sum to {2**64 - 2}, past int64"):
+            KmerTable(2, np.arange(2, dtype=np.uint64), top)
+
     def test_rejects_wrong_length(self):
         with pytest.raises(MismatchedK):
             KmerTable.from_mapping(2, {"ACG": 1})

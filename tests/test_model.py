@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mutrate import model
 from mutrate.model import (
     CircularSequence,
     SubstitutionChannel,
@@ -100,6 +103,116 @@ class TestChannel:
         expected = alts.size / 3
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < 13.8  # df=2, alpha ~ 1e-3
+
+
+def _chi2_upper(df: int, z: float = 3.72) -> float:
+    """Upper chi-square quantile at the normal quantile ``z`` (3.72: alpha
+    1e-4), by the Wilson-Hilferty cube; close enough from df = 3 on."""
+    h = 2.0 / (9.0 * df)
+    return df * (1.0 - h + z * math.sqrt(h)) ** 3
+
+
+def _hits(n_or_shape, rate: float, seed: int) -> np.ndarray:
+    """Where the channel changed an all-A array."""
+    return model._substitute(np.zeros(n_or_shape, dtype=np.uint8), rate, np.random.default_rng(seed)) != 0
+
+
+class TestSparseChannel:
+    """The channel draws the gaps between hits; these check that the hits
+    are still i.i.d. Bernoulli(rate) per position with uniform offsets."""
+
+    @pytest.mark.parametrize("block", [None, 5], ids=["real-blocks", "5-gap-blocks"])
+    def test_hit_frequency_per_position(self, monkeypatch, block):
+        # every position, the first and the last included, is hit with
+        # probability rate; block boundaries fall at many places
+        if block is None:
+            n, rate, trials = 140_000, 0.5, 60
+            assert n * rate > model._GAP_BLOCK  # more than one block per call
+        else:
+            monkeypatch.setattr(model, "_GAP_BLOCK", block)
+            n, rate, trials = 60, 0.3, 4000
+        freq = np.zeros(n, dtype=np.int64)
+        for t in range(trials):
+            freq += _hits(n, rate, 500 + t)
+        z = (freq - trials * rate) / math.sqrt(trials * rate * (1 - rate))
+        assert abs(z[0]) < 4.5 and abs(z[-1]) < 4.5
+        assert float((z**2).sum()) < _chi2_upper(n)
+
+    def test_gaps_are_geometric(self):
+        rate, n = 0.05, 1_500_000
+        assert n * rate > model._GAP_BLOCK
+        hits = np.flatnonzero(_hits(n, rate, 21))
+        gaps = np.diff(hits, prepend=-1)
+        top = 100  # gaps 1..top-1 one bin each, then one bin for >= top
+        observed = np.bincount(np.minimum(gaps, top), minlength=top + 1)[1:]
+        g = np.arange(1, top)
+        expected = gaps.size * np.append(rate * (1 - rate) ** (g - 1), (1 - rate) ** (top - 1))
+        assert float(((observed - expected) ** 2 / expected).sum()) < _chi2_upper(top - 1)
+
+    def test_hits_per_read_binomial(self):
+        # rows of a read block: Binomial(L, rate) hits each, independent rows
+        x = CircularSequence.from_string("A" * 5000)
+        L, rate = 250, 0.1
+        rs = sample_reads(x, L, 20_000, SubstitutionChannel(rate), rng_seed=31)
+        per_row = np.count_nonzero(rs.matrix, axis=1)
+        mean, var = L * rate, L * rate * (1 - rate)
+        assert abs(per_row.mean() - mean) < 4.5 * math.sqrt(var / per_row.size)
+        assert abs(per_row.var(ddof=1) / var - 1) < 4.5 * math.sqrt(2 / (per_row.size - 1))
+
+    def test_offsets_uniform(self):
+        x = np.random.default_rng(41).integers(0, 4, size=400_000, dtype=np.uint8)
+        y = model._substitute(x, 0.4, np.random.default_rng(42))
+        offsets = ((y.astype(np.int64) - x) % 4)[y != x]
+        observed = np.bincount(offsets, minlength=4)
+        assert observed[0] == 0
+        expected = offsets.size / 3
+        # chi-square with 2 df: the upper 1e-4 quantile is 2 ln 1e4
+        assert float(((observed[1:] - expected) ** 2 / expected).sum()) < 2 * math.log(1e4)
+
+    def test_rate_zero_draws_nothing(self):
+        codes = np.arange(12, dtype=np.uint8).reshape(3, 4) % 4
+        rng = np.random.default_rng(51)
+        state = rng.bit_generator.state
+        out = model._substitute(codes, 0.0, rng)
+        assert rng.bit_generator.state == state
+        assert np.array_equal(out, codes) and not np.shares_memory(out, codes)
+
+    def test_tiny_rate_changes_nothing(self):
+        # gaps saturate at 2**63 - 1; clipped at n + 1 they stay past the end
+        codes = np.array([0, 1, 2, 3, 0], dtype=np.uint8)
+        for seed in range(50):
+            assert np.array_equal(model._substitute(codes, 1e-300, np.random.default_rng(seed)), codes)
+
+    def test_rate_near_one(self):
+        n, rate = 100_000, 0.999
+        changed = np.count_nonzero(_hits(n, rate, 61))
+        assert abs(changed - n * rate) < 4.5 * math.sqrt(n * rate * (1 - rate))
+
+    def test_empty_block(self):
+        rng = np.random.default_rng(71)
+        state = rng.bit_generator.state
+        out = model._substitute(np.zeros((0, 3), dtype=np.uint8), 0.5, rng)
+        assert out.shape == (0, 3) and rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("rate", [0.0, 1e-300, 0.05, 0.999])
+    def test_input_never_modified(self, rate):
+        codes = np.random.default_rng(81).integers(0, 4, size=(40, 50), dtype=np.uint8)
+        before = codes.copy()
+        model._substitute(codes, rate, np.random.default_rng(82))
+        assert np.array_equal(codes, before)
+        x = CircularSequence(codes[0])
+        mutate(x, SubstitutionChannel(rate), rng_seed=83)
+        sample_reads(x, 10, 30, SubstitutionChannel(rate), rng_seed=84)
+        assert np.array_equal(x.codes, before[0])
+
+    def test_geometric_gaps_int64_and_saturating(self):
+        # the channel relies on both: int64 gaps, and 2**63 - 1 (not a
+        # wrapped negative) when the rate is too small for any hit
+        rng = np.random.default_rng(91)
+        assert rng.geometric(0.3, size=5).dtype == np.int64
+        tiny = rng.geometric(1e-300, size=5)
+        assert tiny.dtype == np.int64
+        assert (tiny == np.iinfo(np.int64).max).all()
 
 
 class TestReads:

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,6 +270,30 @@ class TestKmerTableCodec:
         with pytest.raises(ValueError, match=re.escape(f"{path}: k must be in 1..32, got {k}")):
             read_kmer_table(path)
 
+    @pytest.mark.parametrize("k, total", [("+2", "3"), ("2", "1_0"), ("2", "-3"), (" 2", "3"), ("2", "3 ")])
+    def test_header_integers_are_digits_only(self, tmp_path, k, total):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"#k={k}\t#total={total}\t#provenance=sequence\nAC\t3\n")
+        message = f"{path}: k and total must be unsigned decimal integers"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_kmer_table(path)
+
+    @pytest.mark.parametrize(
+        "total, rows",
+        [
+            ("-2", ["AC", "GT"]),  # what one wrapped int64 sum of the two counts gives
+            (str(3 * (2**63 - 1) - 2**64), ["AC", "CG", "GT"]),  # wrapped, and all digits
+            (str(3 * (2**63 - 1)), ["AC", "CG", "GT"]),  # exact, past int64
+        ],
+        ids=["negative", "wrapped", "exact"],
+    )
+    def test_counts_summing_past_int64_rejected(self, tmp_path, total, rows):
+        path = tmp_path / "wrap.tsv"
+        body = "".join(f"{r}\t{2**63 - 1}\n" for r in rows)
+        path.write_text(f"#k=2\t#total={total}\t#provenance=reads\n" + body)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            read_kmer_table(path)
+
     @pytest.mark.parametrize(
         "variant",
         [
@@ -363,6 +388,30 @@ class TestReadsIO:
         path.write_text("#L=4\t#N=2\t#G=10\nACGT\nACNT\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: non-ACGT symbol 'N' at position 3")):
             read_reads(path)
+
+    @pytest.mark.parametrize(
+        "header", ["#L=+2\t#N=1\t#G=5", "#L= 2\t#N=1\t#G=5", "#L=2\t#N=0_1\t#G=5", "#L=2\t#N=1\t#G=+5"]
+    )
+    def test_header_integers_are_digits_only(self, tmp_path, header):
+        path = tmp_path / "bad.reads"
+        path.write_text(header + "\nAC\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: L, N, G must be unsigned decimal integers")):
+            read_reads(path)
+
+    def test_peak_memory_about_two_file_sizes(self, tmp_path):
+        """The file bytes and the decoded codes; no third copy of the rows."""
+        x = generate_iid_sequence(10_000, (0.25, 0.25, 0.25, 0.25), rng_seed=8)
+        path = tmp_path / "r.reads"
+        write_reads(path, sample_reads(x, 1000, 2000, SubstitutionChannel(0.01), rng_seed=9))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            codes = read_reads(path).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert codes.shape == (2000, 1000) and codes.flags.writeable
+        assert peak < 2.05 * size
 
     def test_lenient_variants_parse_the_same(self, tmp_path):
         path = tmp_path / "r.reads"

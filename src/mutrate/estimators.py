@@ -422,7 +422,8 @@ def estimate_large_k_reads(
     the same factor to both sides. A mutated :class:`KmerTable` may come
     from a different read volume: a read table's total is its window count
     N * (L - k + 1), so its surviving mass is scaled by source.total /
-    mutated.total. A mapping of expected counts is used as is.
+    mutated.total, and an empty one is an error. A mapping of expected
+    counts is used as is.
 
     ``error_rate`` may safely be an upper bound rather than the exact
     sequencer rate: overstating s only lowers the mass floor, so the chosen
@@ -439,7 +440,9 @@ def estimate_large_k_reads(
     k = source.k
     m_keys, m_vals = _as_packed_counts(mutated, source)
     num = _mass_over(m_keys, m_vals, retained)
-    if isinstance(mutated, KmerTable) and mutated.total:
+    if isinstance(mutated, KmerTable):
+        if mutated.total == 0:
+            raise EmptyRetainedSet("mutated read table is empty")
         num *= source.total / mutated.total
     ratio = num / den
     p_raw = 1.0 - ratio ** (1.0 / k)

@@ -139,8 +139,12 @@ def estimate(
     take a table, sequence or read set on each side: a table is used as
     is and the others are counted at ``k``, which defaults to the source
     table's k for the mutated side. ``s`` is the sequencer error rate of
-    large-k-reads and ``subset`` the general-k subset.
+    large-k-reads and ``subset`` the general-k subset. Two sequences must
+    have the same length, and two sequence tables the same total, because
+    the substitution model keeps the length; anything else is an error.
     """
+    if est in (EstimatorId.K1_GC, EstimatorId.K1_SINGLE) and len(x) != len(y):
+        raise MutrateError(f"x has {len(x)} bases but y has {len(y)}; a substitution keeps the length")
     if est is EstimatorId.K1_GC:
         return estimate_k1_gc(x.gc_fraction(), y.gc_fraction())
     if est in (EstimatorId.K1_SINGLE, EstimatorId.K1_READS):
@@ -153,6 +157,10 @@ def estimate(
         return estimate_k1_reads(f, f_prime, x.num_reads, x.read_len)
     x_table = as_table(x, k)
     y_table = as_table(y, x_table.k)
+    if x_table.provenance == y_table.provenance == "sequence" and x_table.total != y_table.total:
+        raise MutrateError(
+            f"x's k-mer table totals {x_table.total} but y's {y_table.total}; a substitution keeps the length"
+        )
     if est is EstimatorId.GENERAL_K:
         return estimate_general_k(x_table, y_table, subset)
     if est is EstimatorId.LARGE_K_SEQ:

@@ -9,6 +9,7 @@ tallies the runs of equal keys; nothing materializes all 4^k strings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -278,18 +279,85 @@ def expected_kmer_count(
     return scale * float(distance_profile([encode_kmer(query)], source, k) @ probs)
 
 
+# largest 4^k the spectral profile transforms: its memory is two int64 vectors
+# of 4^k, a 16 MiB tracemalloc peak at 4^10 and 64 MiB at 4^11
+_SPECTRAL_MAX = 4**10
+
+
 def distance_profile(target_keys: np.ndarray, source: KmerTable, k: int) -> np.ndarray:
     """M[d] = sum over the target keys of the source counts at Hamming
     distance d from that key; a target listed twice counts twice.
 
     Collapses an all-pairs distance computation into k+1 coefficients, so a
-    moment function of the rate can be evaluated in O(k) afterwards. Time
-    is (number of targets) x (distinct source keys); memory is O(distinct).
+    moment function of the rate can be evaluated in O(k) afterwards. Two
+    exact paths give the same M; the inputs pick one:
+
+    * pairwise: one ``bincount`` of distances per target, time
+      (number of targets) x (distinct source keys), memory O(distinct);
+    * spectral: one Walsh-Hadamard transform each of the targets and of
+      the counts over all 4^k keys, time O(k 4^k) whatever the sizes,
+      memory O(4^k). It runs when 4^k <= 4^10 (``_SPECTRAL_MAX``), k 4^k
+      is below targets x distinct, and 4^k x targets x total < 2^63, so
+      that no int64 sum of the transform can wrap.
+
     Every M[d] is a sum of whole-number counts, which float64 holds exactly
-    below 2^53, so M does not depend on the order of summation.
+    below 2^53, so M does not depend on the path or the order of summation.
     """
+    n, size = len(target_keys), 4**k
+    if size <= _SPECTRAL_MAX and k * size < n * source.distinct and size * n * source.total <= _INT64_MAX:
+        return _profile_spectral(target_keys, source, k)
+    return _profile_pairwise(target_keys, source, k)
+
+
+def _profile_pairwise(target_keys: np.ndarray, source: KmerTable, k: int) -> np.ndarray:
     M = np.zeros(k + 1, dtype=np.float64)
     weights = source.counts.astype(np.float64)
     for t in np.asarray(target_keys, dtype=np.uint64):
         M += np.bincount(packed_hamming(source.keys, t), weights=weights, minlength=k + 1)
     return M
+
+
+def _walsh_hadamard(v: np.ndarray) -> None:
+    """In-place Walsh-Hadamard transform of a vector of 2^b entries: one
+    butterfly (lo, hi) -> (lo + hi, lo - hi) per bit, with no temporaries."""
+    half = v.size // 2
+    while half:
+        lo, hi = v.reshape(-1, 2, half).transpose(1, 0, 2)
+        lo += hi
+        hi *= -2  # lo - hi = (lo + hi) - 2 hi; needs 2 sum|v| < 2^63
+        hi += lo
+        half //= 2
+
+
+def _profile_spectral(target_keys: np.ndarray, source: KmerTable, k: int) -> np.ndarray:
+    """The MacWilliams identity for the Hamming kernel on 4^k keys:
+    M[d] = 4^-k sum_m K_d(m) S_m, where S_m sums a^_w c^_w over the w with
+    m non-zero digits and K_d is the quaternary Krawtchouk polynomial. The
+    caller guarantees 4^k x targets x total < 2^63, so the int64 sums are
+    exact, and the final combination runs in Python integers."""
+    size = 4**k
+    a = np.bincount(np.asarray(target_keys, dtype=np.uint64).astype(np.int64), minlength=size)
+    c = np.zeros(size, dtype=np.int64)
+    c[source.keys] = source.counts
+    _walsh_hadamard(a)
+    _walsh_hadamard(c)
+    a *= c
+    del c
+    # fold the digits one by one into the count of non-zero digits so far
+    by_weight = a.reshape(1, -1)
+    for _ in range(k):
+        digits = by_weight.reshape(by_weight.shape[0], 4, -1)
+        by_weight = np.zeros((digits.shape[0] + 1, digits.shape[2]), dtype=np.int64)
+        by_weight[:-1] = digits[:, 0]
+        by_weight[1:] += digits[:, 1:].sum(axis=1)
+    S = [int(s) for s in by_weight[:, 0]]
+    M = [
+        sum(
+            (-1) ** j * 3 ** (d - j) * comb(m, j) * comb(k - m, d - j) * S[m]
+            for m in range(k + 1)
+            for j in range(d + 1)
+        )
+        // size
+        for d in range(k + 1)
+    ]
+    return np.array([float(v) for v in M])

@@ -213,6 +213,43 @@ class TestEstimate:
             assert code == 1 and not out
             assert err.startswith("error:") and "provenance" in err
 
+    @pytest.mark.parametrize(
+        "est, flags",
+        [("k1-single", []), ("k1-gc", []), ("general-k", ["-k", "4", "--subset", "top:20"]),
+         ("large-k-seq", ["-k", "20"])],
+    )
+    def test_y_shorter_than_x_exits_one(self, skewed_pair, tmp_path, capsys, est, flags):
+        # y is the first half of x, so the true rate is 0; the parent printed
+        # k1-single 1.008, large-k-seq 0.033 and general-k 0.261 and exited 0
+        x, _ = skewed_pair
+        half = tmp_path / "half.fa"
+        half.write_text(">half\n" + read_fasta(x)[0].seq.to_string()[:10000] + "\n")
+        code, out, err = run(capsys, "estimate", "--estimator", est, "--x", str(x), "--y", str(half), *flags)
+        assert code == 1 and not out
+        assert err.startswith("error:") and "20000" in err and "10000" in err
+
+    def test_empty_y_table_exits_one(self, skewed_pair, tmp_path, capsys):
+        # an empty y table gave large-k-seq p_raw 1.0 and exit 0
+        x, _ = skewed_pair
+        yt = tmp_path / "y.tsv"
+        yt.write_text("#k=20\t#total=0\t#provenance=sequence\n")
+        code, out, err = run(capsys, "estimate", "--estimator", "large-k-seq", "--x", str(x),
+                             "--y-table", str(yt), "-k", "20")
+        assert code == 1 and not out
+        assert err.startswith("error:") and "totals 20000 but y's 0" in err
+
+    def test_empty_y_reads_exits_one(self, skewed_pair, tmp_path, capsys):
+        # an empty mutated read set gave large-k-reads p_raw 1.0 and exit 0
+        x, _ = skewed_pair
+        xr, yr = tmp_path / "x.reads", tmp_path / "y.reads"
+        run(capsys, "reads", "--in", str(x), "--read-len", "200", "--coverage", "5",
+            "--seed", "1", "--out", str(xr))
+        yr.write_text("#L=200\t#N=0\t#G=20000\n")
+        code, out, err = run(capsys, "estimate", "--estimator", "large-k-reads", "--s", "0.01",
+                             "--x-reads", str(xr), "--y-reads", str(yr), "-k", "20")
+        assert code == 1 and not out
+        assert err.startswith("error:") and "mutated read table is empty" in err
+
     @pytest.mark.parametrize("kmer", ["AC", "AACG"])
     def test_explicit_subset_of_wrong_length_exits_one(self, skewed_pair, capsys, kmer):
         x, y = skewed_pair

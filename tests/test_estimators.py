@@ -14,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from mutrate.errors import EmptyRetainedSet, MismatchedK, NoRootInRange, SingularDenominator
+from mutrate.errors import (
+    EmptyRetainedSet,
+    MismatchedK,
+    MutrateError,
+    NoRootInRange,
+    SingularDenominator,
+)
 from mutrate.estimators import (
     EstimatorId,
     SubsetSpec,
@@ -27,6 +33,7 @@ from mutrate.estimators import (
     find_smallest_root,
     select_lambda,
 )
+from mutrate.harness import estimate
 from mutrate.kmers import KmerTable, count_kmers_reads, count_kmers_sequence, expected_kmer_count
 from mutrate.model import (
     CircularSequence,
@@ -382,6 +389,14 @@ class TestLargeKReads:
         assert halved.p_raw == pytest.approx(full.p_raw, abs=1e-12)
         assert full.p_raw == pytest.approx(1 - 0.8**0.5, abs=1e-12)
 
+    def test_empty_mutated_table_rejected(self):
+        # with no mutated windows there is no volume to scale by; the parent
+        # skipped the scaling and reported p_raw 1.0
+        t = KmerTable.from_mapping(2, {"AA": 50, "CC": 50}, provenance="reads")
+        empty = KmerTable(2, np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64), "reads")
+        with pytest.raises(EmptyRetainedSet, match="mutated read table is empty"):
+            estimate_large_k_reads(t, empty, 0.0)
+
     def test_upper_bound_noise_still_valid(self):
         # overstating s only tightens the filter; the ratio is untouched
         x = generate_iid_sequence(3000, (0.25, 0.25, 0.25, 0.25), rng_seed=5)
@@ -414,6 +429,45 @@ def test_mutated_table_must_share_provenance(estimate, source_provenance):
     with pytest.raises(ValueError, match="provenance"):
         estimate(source, KmerTable.from_mapping(3, counts, provenance=other))
     estimate(source, KmerTable.from_mapping(3, counts, provenance=source_provenance))
+
+
+class TestSequenceLengthsMustMatch:
+    """A substitution keeps the length, so x and y of different lengths (or
+    sequence tables of different totals) are an error in every sequence-mode
+    estimator. With y the first half of x (true rate 0) the parent returned
+    k1-single 1.008, large-k-seq 0.033 and general-k 0.261."""
+
+    @pytest.fixture(scope="class")
+    def halves(self):
+        x = generate_iid_sequence(4000, (0.4, 0.2, 0.2, 0.2), rng_seed=21)
+        return x, CircularSequence(x.codes[:2000])
+
+    @pytest.mark.parametrize(
+        "est, kwargs",
+        [
+            (EstimatorId.K1_SINGLE, {}),
+            (EstimatorId.K1_GC, {}),
+            (EstimatorId.GENERAL_K, {"k": 4, "subset": SubsetSpec.top(20)}),
+            (EstimatorId.LARGE_K_SEQ, {"k": 12}),
+        ],
+    )
+    def test_different_lengths_rejected(self, halves, est, kwargs):
+        x, y = halves
+        with pytest.raises(MutrateError, match="x has 4000 bases but y has 2000|totals 4000 but y's 2000"):
+            estimate(est, x, y, **kwargs)
+
+    @pytest.mark.parametrize("est", [EstimatorId.GENERAL_K, EstimatorId.LARGE_K_SEQ])
+    def test_sequence_tables_of_different_totals_rejected(self, halves, est):
+        x, y = halves
+        with pytest.raises(MutrateError, match="totals 4000 but y's 2000"):
+            estimate(est, count_kmers_sequence(x, 6), count_kmers_sequence(y, 6))
+
+    def test_empty_mutated_table_rejected(self, halves):
+        # an empty y table gave large-k-seq p_raw 1.0
+        x, _ = halves
+        empty = KmerTable(12, np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64))
+        with pytest.raises(MutrateError, match="totals 4000 but y's 0"):
+            estimate(EstimatorId.LARGE_K_SEQ, x, empty, k=12)
 
 
 class TestRootFinder:

@@ -1,9 +1,13 @@
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from mutrate import kmers
 from mutrate.errors import MismatchedK
 from mutrate.kmers import (
     KmerTable,
@@ -59,26 +63,118 @@ class TestHamming:
 
 @st.composite
 def profile_case(draw):
-    k = draw(st.sampled_from([1, 2, 5, 31, 32]))
+    # up to k=5 the sizes drawn reach either path of distance_profile; k 31
+    # and 32 are past the spectral cap
+    k = draw(st.sampled_from([1, 2, 3, 4, 5, 31, 32]))
     word = st.text(alphabet="ACGT", min_size=k, max_size=k)
-    source = draw(st.dictionaries(word, st.integers(1, 10**6), max_size=12))
-    return k, source, draw(st.lists(word, max_size=6))
+    source = draw(st.dictionaries(word, st.integers(1, 10**6), max_size=30))
+    return k, source, draw(st.lists(word, max_size=8)) * draw(st.sampled_from([1, 40]))
+
+
+def oracle_profile(k, source, targets):
+    want = [0] * (k + 1)
+    for t, times in Counter(targets).items():
+        for w, c in source.items():
+            want[oracles.hamming(t, w)] += times * c
+    return want
+
+
+CAP_K = (kmers._SPECTRAL_MAX.bit_length() - 1) // 2
+
+
+def random_profile_case(k, seed, all_subset):
+    """A source of up to 200 keys with counts up to 10^9, and as targets
+    either every source key (the ``all`` subset) or some source keys, some
+    absent keys and a few of them listed twice."""
+    rng = np.random.default_rng(seed)
+    size = 4**k
+    keys = np.unique(rng.integers(0, size, int(rng.integers(1, 201)))).astype(np.uint64)
+    source = KmerTable(k, keys, rng.integers(1, 10**9, keys.size, endpoint=True))
+    if all_subset:
+        targets = source.keys
+    else:
+        absent = np.setdiff1d(rng.integers(0, size, 5).astype(np.uint64), keys)
+        targets = np.concatenate([rng.choice(keys, 8), absent])
+        targets = np.concatenate([targets, targets[: int(rng.integers(1, 5))]])
+    assert size * targets.size * source.total < 2**63
+    return targets, source
+
+
+@pytest.fixture
+def path_taken(monkeypatch):
+    """Replace both profile paths by stubs that record which one ran."""
+    taken = []
+    for name in ("_profile_spectral", "_profile_pairwise"):
+        monkeypatch.setattr(kmers, name, lambda t, s, k, name=name: taken.append(name))
+    return taken
+
+
+def taken_for(path_taken, k, n_targets, counts):
+    source = KmerTable(k, np.arange(len(counts), dtype=np.uint64), counts)
+    distance_profile(np.zeros(n_targets, dtype=np.uint64), source, k)
+    return path_taken.pop()
 
 
 class TestDistanceProfile:
     @given(profile_case())
     @example((5, {"ACGTA": 4, "TTTTT": 2}, []))
     @example((32, {"T" * 32: 3, "G" + "A" * 31: 2, "A" * 32: 1}, ["T" * 32, "G" * 32, "T" * 32]))
+    @example((4, {w: 7 for w in ("AAAA", "ACGT", "TTTT", "GGCA", "CATG")}, ["ACGT", "CCCC", "ACGT"] * 80))
     def test_against_oracle(self, case):
         # targets need not be in the source and count once per listing
         k, source, targets = case
-        want = np.zeros(k + 1)
-        for t in targets:
-            for w, c in source.items():
-                want[oracles.hamming(t, w)] += c
         packed = np.array([encode_kmer(t) for t in targets], dtype=np.uint64)
         got = distance_profile(packed, KmerTable.from_mapping(k, source), k)
-        assert got.dtype == np.float64 and np.array_equal(got, want)
+        assert got.dtype == np.float64 and np.array_equal(got, oracle_profile(k, source, targets))
+
+    @given(st.integers(1, CAP_K - 1), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=60)
+    def test_spectral_matches_pairwise(self, k, seed, all_subset):
+        targets, source = random_profile_case(k, seed, all_subset and k <= 6)
+        want = kmers._profile_pairwise(targets, source, k)
+        assert np.array_equal(kmers._profile_spectral(targets, source, k), want)
+
+    def test_spectral_matches_pairwise_at_the_cap(self):
+        targets, source = random_profile_case(CAP_K, 12345, False)
+        want = kmers._profile_pairwise(targets, source, CAP_K)
+        tracemalloc.start()
+        try:
+            got = kmers._profile_spectral(targets, source, CAP_K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak <= 64 * 2**20
+
+    def test_cap(self, path_taken):
+        # the cost rule would pick the transform on either side of the cap
+        big = np.ones(2000, dtype=np.int64)
+        assert taken_for(path_taken, CAP_K, CAP_K * 4**CAP_K // 2000 + 1, big) == "_profile_spectral"
+        assert taken_for(path_taken, CAP_K + 1, (CAP_K + 1) * 4 ** (CAP_K + 1) // 2000 + 1, big) == (
+            "_profile_pairwise"
+        )
+
+    def test_cost(self, path_taken):
+        # k 4^k = 5120 at k=5, against targets x distinct = 80 x 64 or 81 x 64
+        ones = np.ones(64, dtype=np.int64)
+        assert taken_for(path_taken, 5, 80, ones) == "_profile_pairwise"
+        assert taken_for(path_taken, 5, 81, ones) == "_profile_spectral"
+        assert taken_for(path_taken, 5, 0, ones) == "_profile_pairwise"
+
+    def test_int64_bound(self, path_taken):
+        # 4^k x targets x total must stay below 2^63; a huge count at k=2
+        # with 8 targets reaches it at total (2^63 - 1) // 128
+        edge = (2**63 - 1) // (16 * 8)
+        assert taken_for(path_taken, 2, 8, np.array([edge - 4, 1, 1, 1, 1])) == "_profile_spectral"
+        assert taken_for(path_taken, 2, 8, np.array([edge - 3, 1, 1, 1, 1])) == "_profile_pairwise"
+
+    def test_spectral_exact_at_the_int64_bound(self):
+        # the largest total the transform takes gives every M[d] exactly
+        source = {"AC": (2**63 - 1) // 128 - 4, "AA": 1, "CA": 1, "GT": 1, "TT": 1}
+        targets = ["AC", "AC", "AG", "CC", "GG", "TA", "TT", "CA"]
+        packed = np.array([encode_kmer(t) for t in targets], dtype=np.uint64)
+        got = kmers._profile_spectral(packed, KmerTable.from_mapping(2, source), 2)
+        assert got.tolist() == [float(m) for m in oracle_profile(2, source, targets)]
 
 
 @st.composite

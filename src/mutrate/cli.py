@@ -39,10 +39,12 @@ from .harness import (
     MODE_ESTIMATORS,
     Mode,
     as_table,
+    check_same_length,
     choose_k1_base,
     derive_seed,
     estimate,
     run_experiment,
+    source_length,
     summary_to_dict,
     write_summary_json,
     write_trials_csv,
@@ -392,10 +394,12 @@ def _cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
         return _pick_record(read_fasta(path), args.record, path).seq
 
     x = load("x")
+    x_len = source_length(x)
     if takes_table:
         # count x before reading y: one side's reads in memory at a time
         x = as_table(x, args.k)
     y = load("y")
+    check_same_length(x_len, source_length(y))
     extras: dict = {}
     if est in (EstimatorId.K1_SINGLE, EstimatorId.K1_READS):
         extras["base"] = args.base if args.base != "auto" else choose_k1_base(x)

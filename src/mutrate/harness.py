@@ -21,7 +21,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Iterator, Sequence, Union
@@ -121,6 +121,20 @@ def as_table(x: Data, k: int | None) -> KmerTable:
     return count_kmers_sequence(x, k)
 
 
+def source_length(d: Data) -> int | None:
+    """Bases of the sequence behind ``d``: a sequence's length, a read set's
+    G, or None for a k-mer table, which does not record it."""
+    if isinstance(d, ReadSet):
+        return d.source_len
+    return None if isinstance(d, KmerTable) else len(d)
+
+
+def check_same_length(x_len: int | None, y_len: int | None) -> None:
+    """Raise unless the two source lengths are equal or one is unknown."""
+    if None not in (x_len, y_len) and x_len != y_len:
+        raise MutrateError(f"x has {x_len} bases but y has {y_len}; a substitution keeps the length")
+
+
 def estimate(
     est: EstimatorId,
     x: Data,
@@ -140,11 +154,11 @@ def estimate(
     is and the others are counted at ``k``, which defaults to the source
     table's k for the mutated side. ``s`` is the sequencer error rate of
     large-k-reads and ``subset`` the general-k subset. Two sequences must
-    have the same length, and two sequence tables the same total, because
-    the substitution model keeps the length; anything else is an error.
+    have the same length, two read sets the same G, and two sequence tables
+    the same total, because the substitution model keeps the length;
+    anything else is an error.
     """
-    if est in (EstimatorId.K1_GC, EstimatorId.K1_SINGLE) and len(x) != len(y):
-        raise MutrateError(f"x has {len(x)} bases but y has {len(y)}; a substitution keeps the length")
+    check_same_length(source_length(x), source_length(y))
     if est is EstimatorId.K1_GC:
         return estimate_k1_gc(x.gc_fraction(), y.gc_fraction())
     if est in (EstimatorId.K1_SINGLE, EstimatorId.K1_READS):
@@ -238,6 +252,11 @@ class ExperimentConfig:
         object.__setattr__(self, "coverage_grid", tuple(float(c) for c in self.coverage_grid))
         if not estimators:
             raise ValueError("estimators must be nonempty")
+        for name in ("estimators", "p_grid", "k_values", "s_grid", "coverage_grid"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                # a repeated grid point replays its seeds and counts its trials twice
+                raise ValueError(f"{name} repeats a value: {[getattr(v, 'value', v) for v in values]}")
         allowed = MODE_ESTIMATORS[mode]
         bad = [e.value for e in estimators if e not in allowed]
         if bad:
@@ -299,6 +318,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One trial. Its fields, in order, are the trials CSV's columns."""
+
     estimator: EstimatorId
     k: int
     p: float
@@ -485,60 +506,54 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
             try:
                 res = _estimate_trial(config, gp, ref, y, seeds, trial_key)
             except MutrateError as exc:
-                code = _ERROR_CODES.get(type(exc).__name__, "estimator-error")
                 nan = float("nan")
-                records.append(
-                    TrialRecord(
-                        gp.estimator, gp.k, gp.p, gp.s, gp.coverage,
-                        ref.index, trial, trial_seed, nan, nan, nan, code,
-                    )
+                outcome = dict(
+                    p_raw=nan, p_clamped=nan, rel_error=nan,
+                    error=_ERROR_CODES.get(type(exc).__name__, "estimator-error"),
                 )
-                continue
+            else:
+                d = res.diagnostics
+                outcome = dict(
+                    p_raw=res.p_raw, p_clamped=res.p_clamped, rel_error=res.p_raw / gp.p - 1.0,
+                    lambda_threshold=d.lambda_threshold, lambda_fallback=d.lambda_fallback,
+                    multiple_roots=d.multiple_roots,
+                )
             records.append(
-                TrialRecord(
-                    estimator=gp.estimator,
-                    k=gp.k,
-                    p=gp.p,
-                    s=gp.s,
-                    coverage=gp.coverage,
-                    reference=ref.index,
-                    trial=trial,
-                    seed=trial_seed,
-                    p_raw=res.p_raw,
-                    p_clamped=res.p_clamped,
-                    rel_error=res.p_raw / gp.p - 1.0,
-                    error="",
-                    lambda_threshold=res.diagnostics.lambda_threshold,
-                    lambda_fallback=res.diagnostics.lambda_fallback,
-                    multiple_roots=res.diagnostics.multiple_roots,
-                )
+                TrialRecord(**asdict(gp), reference=ref.index, trial=trial, seed=trial_seed, **outcome)
             )
     return records
 
 
 # --- serialization -----------------------------------------------------------
+#
+# The dataclasses are the only schema: the trials CSV has one column per
+# TrialRecord field, in order, and the summary JSON's config and groups are
+# ``asdict`` of ExperimentConfig, GridPoint and BoxStats.
 
-_CSV_COLUMNS = [
-    "estimator",
-    "k",
-    "p",
-    "s",
-    "coverage",
-    "reference",
-    "trial",
-    "seed",
-    "p_raw",
-    "p_clamped",
-    "rel_error",
-    "error",
-    "lambda_threshold",
-    "lambda_fallback",
-    "multiple_roots",
-]
+_COLUMNS = tuple(f.name for f in fields(TrialRecord))
+
+# cell parser per TrialRecord field type; a new field type needs an entry here
+_PARSE_CELL = {
+    "EstimatorId": EstimatorId,
+    "int": int,
+    "float": float,
+    "str": str,
+    "bool": lambda cell: {"0": False, "1": True}[cell],
+    "int | None": lambda cell: int(cell) if cell else None,
+    "float | None": lambda cell: float(cell) if cell else None,
+}
+_CELL_PARSERS = tuple(_PARSE_CELL[f.type] for f in fields(TrialRecord))
 
 
-def _opt(v) -> str:
-    return "" if v is None else repr(v)
+def _cell(value) -> str:
+    """One CSV cell: None empty, bool 0/1, an enum its value, else ``str``."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, Enum):
+        return value.value
+    return str(value)
 
 
 def write_trials_csv(path: str | Path, records: Sequence[TrialRecord]) -> None:
@@ -546,125 +561,68 @@ def write_trials_csv(path: str | Path, records: Sequence[TrialRecord]) -> None:
     with Path(path).open("w", newline="") as fh:
         fh.write(f"# format: {TRIALS_FORMAT}\n")
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.estimator.value,
-                    r.k,
-                    repr(r.p),
-                    _opt(r.s),
-                    _opt(r.coverage),
-                    r.reference,
-                    r.trial,
-                    r.seed,
-                    repr(r.p_raw),
-                    repr(r.p_clamped),
-                    repr(r.rel_error),
-                    r.error,
-                    "" if r.lambda_threshold is None else r.lambda_threshold,
-                    int(r.lambda_fallback),
-                    int(r.multiple_roots),
-                ]
-            )
+        writer.writerow(_COLUMNS)
+        writer.writerows([_cell(getattr(r, name)) for name in _COLUMNS] for r in records)
 
 
 def read_trials_csv(path: str | Path) -> list[TrialRecord]:
+    """The records of a trials CSV. The header must name the TrialRecord
+    fields in order and every row must have one cell per column; anything
+    else is a ValueError naming the file and line."""
     with Path(path).open(newline="") as fh:
         head = fh.readline().strip()
         if head != f"# format: {TRIALS_FORMAT}":
             raise ValueError(f"{path}: unrecognized trials format line {head!r}")
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if tuple(header) != _COLUMNS:
+            raise ValueError(f"{path}: line 2: columns {header} are not {list(_COLUMNS)}")
         records = []
         for row in reader:
-            records.append(
-                TrialRecord(
-                    estimator=EstimatorId(row["estimator"]),
-                    k=int(row["k"]),
-                    p=float(row["p"]),
-                    s=float(row["s"]) if row["s"] else None,
-                    coverage=float(row["coverage"]) if row["coverage"] else None,
-                    reference=int(row["reference"]),
-                    trial=int(row["trial"]),
-                    seed=int(row["seed"]),
-                    p_raw=float(row["p_raw"]),
-                    p_clamped=float(row["p_clamped"]),
-                    rel_error=float(row["rel_error"]),
-                    error=row["error"],
-                    lambda_threshold=int(row["lambda_threshold"]) if row["lambda_threshold"] else None,
-                    lambda_fallback=row["lambda_fallback"] == "1",
-                    multiple_roots=row["multiple_roots"] == "1",
-                )
-            )
+            # the format line is not the reader's, so its line numbers are one short
+            where = f"{path}: line {reader.line_num + 1}"
+            if len(row) != len(_COLUMNS):
+                raise ValueError(f"{where}: {len(row)} cells, expected {len(_COLUMNS)}")
+            try:
+                records.append(TrialRecord(*(parse(cell) for parse, cell in zip(_CELL_PARSERS, row))))
+            except (KeyError, ValueError) as exc:
+                raise ValueError(f"{where}: bad cell {exc}") from None
     return records
 
 
-def _none_if_nan(v: float) -> float | None:
-    return None if math.isnan(v) else v
+def _json_value(value):
+    """``asdict`` output as JSON: enums by value, tuples as lists, NaN as null."""
+    if isinstance(value, dict):
+        return {key: _json_value(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    return value
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    src = config.source
-    if isinstance(src, IidSource):
-        source = {
-            "kind": "iid",
-            "length": src.length,
-            "distribution": list(src.distribution),
-            "num_references": src.num_references,
-        }
-    else:
-        source = {"kind": "fasta", "path": src.path, "on_invalid": src.on_invalid}
-    subset = None
-    if config.subset is not None:
-        subset = {"kind": config.subset.kind}
-        if config.subset.m is not None:
-            subset["m"] = config.subset.m
-        if config.subset.kmers is not None:
-            subset["kmers"] = list(config.subset.kmers)
-    return {
-        "source": source,
-        "mode": config.mode.value,
-        "estimators": [e.value for e in config.estimators],
-        "p_grid": list(config.p_grid),
-        "trials_per_point": config.trials_per_point,
-        "master_seed": config.master_seed,
-        "k_values": list(config.k_values),
-        "s_grid": list(config.s_grid),
-        "coverage_grid": list(config.coverage_grid),
-        "read_len": config.read_len,
-        "k1_base": config.k1_base,
-        "subset": subset,
-        "y_coverage": config.y_coverage,
-        "y_read_len": config.y_read_len,
-    }
+    """``asdict(config)``, with the source's ``kind`` first and the subset's
+    unset fields left out."""
+    d = asdict(config)
+    d["source"] = {"kind": "iid" if isinstance(config.source, IidSource) else "fasta", **d["source"]}
+    if d["subset"] is not None:
+        d["subset"] = {key: v for key, v in d["subset"].items() if v is not None}
+    return _json_value(d)
 
 
 def summary_to_dict(config: ExperimentConfig, records: Sequence[TrialRecord]) -> dict:
-    groups = []
-    for gp, stats in summarize(records).items():
-        groups.append(
-            {
-                "estimator": gp.estimator.value,
-                "k": gp.k,
-                "p": gp.p,
-                "s": gp.s,
-                "coverage": gp.coverage,
-                "count": stats.count,
-                "median": _none_if_nan(stats.median),
-                "q1": _none_if_nan(stats.q1),
-                "q3": _none_if_nan(stats.q3),
-                "whisker_low": _none_if_nan(stats.whisker_low),
-                "whisker_high": _none_if_nan(stats.whisker_high),
-                "mean": _none_if_nan(stats.mean),
-                "stddev": _none_if_nan(stats.stddev),
-                "error_count": stats.error_count,
-            }
-        )
+    """The config, the trial count and one group per grid point: the grid
+    point's fields then its box statistics."""
     return {
         "format": SUMMARY_FORMAT,
         "config": config_to_dict(config),
         "num_trials": len(records),
-        "groups": groups,
+        "groups": [
+            _json_value({**asdict(gp), **asdict(stats)}) for gp, stats in summarize(records).items()
+        ],
     }
 
 

@@ -103,15 +103,11 @@ def _pack_read_windows(matrix: np.ndarray, k: int) -> np.ndarray:
         level, m = np.bitwise_or(nxt, level[:, m:], out=nxt), 2 * m
 
 
-def _run_bounds(sorted_keys: np.ndarray) -> np.ndarray:
-    """Start of each run of equal keys, then an end bound: [:-1] are starts, diff is lengths."""
-    return np.flatnonzero(np.r_[sorted_keys.size > 0, sorted_keys[1:] != sorted_keys[:-1], True])
-
-
 def _tally(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct values ascending and their counts; sorts ``vals`` in place."""
     vals.sort()
-    bounds = _run_bounds(vals)
+    # start of each run of equal values, then an end bound
+    bounds = np.flatnonzero(np.r_[vals.size > 0, vals[1:] != vals[:-1], True])
     return vals[bounds[:-1]], np.diff(bounds)
 
 
@@ -235,19 +231,6 @@ def count_kmers_reads(reads: ReadSet, k: int) -> KmerTable:
     if reads.num_reads == 0:
         return KmerTable(k, np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64), provenance="reads")
     return KmerTable(k, *_tally(_pack_read_windows(reads.matrix, k)), provenance="reads")
-
-
-def merge_tables(a: KmerTable, b: KmerTable) -> KmerTable:
-    """Sum two tables of the same k; provenance must match."""
-    if a.k != b.k:
-        raise MismatchedK(f"cannot merge tables with k={a.k} and k={b.k}")
-    if a.provenance != b.provenance:
-        raise ValueError(f"cannot merge provenance {a.provenance!r} with {b.provenance!r}")
-    keys = np.concatenate([a.keys, b.keys])
-    order = np.argsort(keys, kind="stable")
-    starts = _run_bounds(keys[order])[:-1]
-    summed = np.add.reduceat(np.concatenate([a.counts, b.counts])[order], starts)
-    return KmerTable(a.k, keys[order[starts]], summed, a.provenance)
 
 
 def expected_kmer_count(

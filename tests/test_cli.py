@@ -250,6 +250,20 @@ class TestEstimate:
         assert code == 1 and not out
         assert err.startswith("error:") and "mutated read table is empty" in err
 
+    @pytest.mark.parametrize("est, flags", [("k1-reads", []), ("large-k-reads", ["-k", "20", "--s", "0.01"])])
+    def test_reads_of_different_lengths_exit_one(self, skewed_pair, tmp_path, capsys, est, flags):
+        # reads of G=20000 against reads of G=30000 used to print k1-reads
+        # p_raw 0.0038 and large-k-reads 1.0, with exit 0
+        x, _ = skewed_pair
+        longer, xr, yr = tmp_path / "long.fa", tmp_path / "x.reads", tmp_path / "y.reads"
+        run(capsys, "gen", "--length", "30000", "--dist", "0.4,0.2,0.2,0.2", "--seed", "9", "--out", str(longer))
+        for src, dst, seed in ((x, xr, "1"), (longer, yr, "2")):
+            run(capsys, "reads", "--in", str(src), "--read-len", "500", "--num-reads", "200",
+                "--seed", seed, "--out", str(dst))
+        code, out, err = run(capsys, "estimate", "--estimator", est, "--x-reads", str(xr), "--y-reads", str(yr), *flags)
+        assert code == 1 and not out
+        assert err.startswith("error:") and "20000" in err and "30000" in err
+
     @pytest.mark.parametrize("kmer", ["AC", "AACG"])
     def test_explicit_subset_of_wrong_length_exits_one(self, skewed_pair, capsys, kmer):
         x, y = skewed_pair
@@ -405,6 +419,16 @@ class TestExperiment:
                   "--p", "0.1", "--trials", "1", "--seed", "1", "--length", "1000",
                   "-k", "8", "--read-len", "100"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag, values", [("--p", "0.1,0.1"), ("-k", "2,3,2"), ("--estimators", "k1-gc,k1-gc")])
+    def test_repeated_grid_values_usage_error(self, capsys, flag, values):
+        argv = {"--mode": "nonseq", "--estimators": "k1-single", "--p": "0.1", "--trials": "3",
+                "--seed": "1", "--length": "1000", "-k": "1"}
+        argv[flag] = values
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", *(a for pair in argv.items() for a in pair)])
+        assert exc.value.code == 2
+        assert "repeats a value" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = [

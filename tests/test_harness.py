@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,22 @@ class TestConfig:
 
         with pytest.raises(ValueError, match="subset"):
             nonseq_config(subset=SubsetSpec.top(5))
+
+    @pytest.mark.parametrize(
+        "name, values",
+        [
+            ("estimators", (EstimatorId.K1_SINGLE, "k1-single")),
+            ("p_grid", (0.1, 0.10)),
+            ("k_values", (1, 2, 1)),
+            ("s_grid", (0.0, 0.0)),
+            ("coverage_grid", (30.0, 30)),
+        ],
+    )
+    def test_repeated_grid_values_rejected(self, name, values):
+        # a repeated grid point replays the same seeds, and summarize used to
+        # count its trials twice: p_grid=(0.1, 0.1) gave count 6 from 3 trials
+        with pytest.raises(ValueError, match=f"{name} repeats a value"):
+            nonseq_config(**{name: values})
 
 
 class TestSeeds:
@@ -329,6 +346,43 @@ class TestSummaries:
         assert list(summ) == [a.grid_point, other.grid_point]
 
 
+# hand-built records and their literal v1 text; no RNG, so the same on every NumPy
+GOLDEN_RECORDS = [
+    # ok row; s and coverage None outside read mode
+    TrialRecord(EstimatorId.K1_SINGLE, 1, 0.1, None, None, 0, 0, 12345, 0.0987, 0.0987, -0.013),
+    # errored trial: NaN rates and an error code
+    TrialRecord(
+        EstimatorId.GENERAL_K, 8, 0.3, None, None, 1, 2, 99,
+        math.nan, math.nan, math.nan, "no-root-in-range",
+    ),
+    # read mode, with lambda and its fallback
+    TrialRecord(
+        EstimatorId.LARGE_K_READS, 20, 0.05, 0.01, 30.0, 0, 1, 7, 0.051, 0.051, 0.02,
+        lambda_threshold=3, lambda_fallback=True,
+    ),
+    # a seed at or above 2^63, and multiple roots
+    TrialRecord(
+        EstimatorId.GENERAL_K, 8, 0.3, None, None, 0, 3, 2**64 - 59, 0.31, 0.31, 0.0333,
+        multiple_roots=True,
+    ),
+]
+GOLDEN_CSV = (
+    "# format: mutrate-trials-v1\n"
+    "estimator,k,p,s,coverage,reference,trial,seed,p_raw,p_clamped,rel_error,error,"
+    "lambda_threshold,lambda_fallback,multiple_roots\n"
+    "k1-single,1,0.1,,,0,0,12345,0.0987,0.0987,-0.013,,,0,0\n"
+    "general-k,8,0.3,,,1,2,99,nan,nan,nan,no-root-in-range,,0,0\n"
+    "large-k-reads,20,0.05,0.01,30.0,0,1,7,0.051,0.051,0.02,,3,1,0\n"
+    "general-k,8,0.3,,,0,3,18446744073709551557,0.31,0.31,0.0333,,,0,1\n"
+)
+
+
+def _each_row(fn) -> str:
+    """GOLDEN_CSV with ``fn`` applied to every line after the format line."""
+    fmt, *rest = GOLDEN_CSV.splitlines()
+    return "\n".join([fmt, *map(fn, rest)]) + "\n"
+
+
 class TestSerialization:
     def test_csv_round_trip(self, tmp_path):
         records = run_experiment(nonseq_config(trials_per_point=4))
@@ -366,6 +420,80 @@ class TestSerialization:
         path.write_text("bogus\n" + path.read_text())
         with pytest.raises(ValueError, match="format"):
             read_trials_csv(path)
+
+    def test_csv_golden_v1_text(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_trials_csv(path, GOLDEN_RECORDS)
+        assert path.read_text() == GOLDEN_CSV
+        # NaN != NaN, so compare the read-back records through their text
+        back = tmp_path / "back.csv"
+        write_trials_csv(back, read_trials_csv(path))
+        assert back.read_text() == GOLDEN_CSV
+        assert read_trials_csv(path)[2].lambda_threshold == 3
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            # a missing column raised KeyError: 'multiple_roots'
+            (_each_row(lambda row: row.rsplit(",", 1)[0]), 2),
+            # an extra column was ignored
+            (_each_row(lambda row: row + ",x"), 2),
+            # a row cut short by its last three cells read as a valid trial
+            (GOLDEN_CSV.replace(",0.02,,3,1,0\n", ",0.02,\n"), 5),
+            (GOLDEN_CSV.replace(",0.0333,,,0,1\n", ",0.0333,,,0,1,1\n"), 6),
+            (GOLDEN_CSV.replace("-0.013,,,0,0\n", "-0.013,,,0,2\n"), 3),
+        ],
+        ids=["missing-column", "extra-column", "short-row", "long-row", "bad-flag"],
+    )
+    def test_csv_layout_is_checked(self, tmp_path, text, line):
+        assert text != GOLDEN_CSV
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}:")):
+            read_trials_csv(path)
+
+    def test_summary_json_golden(self):
+        cfg = nonseq_config(
+            estimators=(EstimatorId.GENERAL_K,), k_values=(4,), subset=SubsetSpec.top(5), trials_per_point=4
+        )
+        ok = [
+            TrialRecord(EstimatorId.GENERAL_K, 4, 0.1, None, None, 0, i, i, 0.1, 0.1, e)
+            for i, e in enumerate((0.0, 0.5, 1.0, 0.5))
+        ]
+        nan = math.nan
+        failed = [TrialRecord(EstimatorId.GENERAL_K, 4, 0.2, None, None, 0, 0, 9, nan, nan, nan, "x")]
+        assert summary_to_dict(cfg, ok + failed) == {
+            "format": "mutrate-summary-v1",
+            "config": {
+                "source": {"kind": "iid", "length": 4000, "distribution": list(SKEWED), "num_references": 1},
+                "mode": "nonseq",
+                "estimators": ["general-k"],
+                "p_grid": [0.1],
+                "trials_per_point": 4,
+                "master_seed": 42,
+                "k_values": [4],
+                "s_grid": [0.0],
+                "coverage_grid": [30.0],
+                "read_len": 1000,
+                "k1_base": "auto",
+                "subset": {"kind": "top", "m": 5},
+                "y_coverage": None,
+                "y_read_len": None,
+            },
+            "num_trials": 5,
+            "groups": [
+                {
+                    "estimator": "general-k", "k": 4, "p": 0.1, "s": None, "coverage": None,
+                    "count": 4, "median": 0.5, "q1": 0.375, "q3": 0.625, "whisker_low": 0.0,
+                    "whisker_high": 1.0, "mean": 0.5, "stddev": 0.125**0.5, "error_count": 0,
+                },
+                {
+                    "estimator": "general-k", "k": 4, "p": 0.2, "s": None, "coverage": None,
+                    "count": 0, "median": None, "q1": None, "q3": None, "whisker_low": None,
+                    "whisker_high": None, "mean": None, "stddev": None, "error_count": 1,
+                },
+            ],
+        }
 
     def test_summary_json(self, tmp_path):
         import json
@@ -431,6 +559,16 @@ class TestEstimateDispatch:
         yr = sample_reads(y, 100, 39, SubstitutionChannel(0.0), rng_seed=4)
         with pytest.raises(MutrateError, match="matching N and L"):
             estimate(EstimatorId.K1_READS, xr, yr, base="A")
+
+    @pytest.mark.parametrize("est", [EstimatorId.K1_READS, EstimatorId.LARGE_K_READS])
+    def test_read_sets_of_different_sources_rejected(self, pair, est):
+        # reads of a 4000-base x against reads of a 3000-base y cannot be a
+        # sequence and its substitution, yet they used to give a rate
+        x, y = pair
+        xr = sample_reads(x, 100, 40, SubstitutionChannel(0.0), rng_seed=3)
+        yr = sample_reads(CircularSequence(y.codes[:3000]), 100, 40, SubstitutionChannel(0.0), rng_seed=4)
+        with pytest.raises(MutrateError, match="x has 4000 bases but y has 3000"):
+            estimate(est, xr, yr, k=10, s=0.0, base="A")
 
     def test_large_k_reads_needs_s(self, pair):
         x, y = pair

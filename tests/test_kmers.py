@@ -18,7 +18,6 @@ from mutrate.kmers import (
     distance_profile,
     encode_kmer,
     expected_kmer_count,
-    merge_tables,
     packed_hamming,
 )
 from mutrate.model import (
@@ -26,7 +25,6 @@ from mutrate.model import (
     ReadSet,
     SubstitutionChannel,
     codes_to_string,
-    generate_iid_sequence,
     sample_reads,
     string_to_codes,
 )
@@ -283,39 +281,6 @@ class TestTable:
         assert [t.count(b * 32) for b in "ACGT"] == [2, 4, 1, 3]
         with pytest.raises(ValueError, match="duplicate"):
             KmerTable(32, np.array([2**64 - 1, 0, 2**64 - 1], dtype=np.uint64), [1, 1, 1])
-
-    def test_merge_additivity(self):
-        a = KmerTable.from_mapping(2, {"AC": 1, "GG": 2})
-        b = KmerTable.from_mapping(2, {"GG": 3, "TT": 1})
-        m = merge_tables(a, b)
-        assert m.to_dict() == {"AC": 1, "GG": 5, "TT": 1}
-        assert m.total == a.total + b.total
-        empty = KmerTable(2, np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64))
-        assert merge_tables(a, empty) == a and merge_tables(empty, empty) == empty
-
-    def test_merge_requires_same_k_and_provenance(self):
-        a = KmerTable.from_mapping(2, {"AC": 1})
-        with pytest.raises(MismatchedK):
-            merge_tables(a, KmerTable.from_mapping(3, {"ACG": 1}))
-        with pytest.raises(ValueError):
-            merge_tables(a, KmerTable.from_mapping(2, {"AC": 1}, provenance="reads"))
-
-    def test_merge_matches_pooled_counting(self):
-        # counting two batches separately then merging equals counting the pool
-        x = generate_iid_sequence(400, (0.25, 0.25, 0.25, 0.25), rng_seed=3)
-        rs_a = sample_reads(x, 50, 12, SubstitutionChannel(0.02), rng_seed=4)
-        rs_b = sample_reads(x, 50, 8, SubstitutionChannel(0.02), rng_seed=5)
-        pooled = ReadSet(np.vstack([rs_a.matrix, rs_b.matrix]), len(x))
-        merged = merge_tables(count_kmers_reads(rs_a, 3), count_kmers_reads(rs_b, 3))
-        assert merged == count_kmers_reads(pooled, 3)
-        # at k=32 every G- or T-led key is 2^63 or more; the batches share keys
-        gt = CircularSequence.from_string("GGTGTTGTGGGTTTGTGTGGTTGTTTGGGTGTGTTGGTGTTTGG")
-        rs_c = sample_reads(gt, 40, 12, SubstitutionChannel(0.0), rng_seed=6)
-        rs_d = sample_reads(gt, 40, 9, SubstitutionChannel(0.0), rng_seed=7)
-        c, d = count_kmers_reads(rs_c, 32), count_kmers_reads(rs_d, 32)
-        assert c.keys.min() >= np.uint64(2**63) and np.intersect1d(c.keys, d.keys).size
-        pooled = ReadSet(np.vstack([rs_c.matrix, rs_d.matrix]), len(gt))
-        assert merge_tables(c, d) == count_kmers_reads(pooled, 32)
 
 
 class TestExpectedCount:

@@ -4,9 +4,9 @@ estimators.
 The closed-form estimators divide by how far a base's frequency sits from
 1/4, so their relative error blows up as that deviation shrinks. The
 functions here quantify the trade: generic two-sided tail bounds, the
-minimum usable deviation for the whole-sequence estimator, and a
-fixed-point computation of the deviation the read-based estimator needs
-once sequencer noise biases both sides.
+minimum usable deviation for the whole-sequence estimator, and the
+deviation the read-based estimator needs once sequencer noise biases both
+sides, in closed form.
 """
 
 from __future__ import annotations
@@ -100,12 +100,15 @@ def equal_budgets(failure_prob: float) -> Budgets:
     return Budgets(c, c, c)
 
 
+def _check_budgets(budgets: Budgets) -> None:
+    if not all(c > 0 for c in budgets):
+        raise ValueError(f"budgets must be positive, got {budgets}")
+
+
 def success_probability(budgets: Budgets) -> float:
     """Lower bound on the probability that all three concentration events
     hold: max(0, 1 - 2e^{-c1} - 2e^{-c2} - 2e^{-c3})."""
-    for c in budgets:
-        if c <= 0:
-            raise ValueError(f"budgets must be positive, got {budgets}")
+    _check_budgets(budgets)
     return max(0.0, 1.0 - 2.0 * math.exp(-budgets.c1) - 2.0 * math.exp(-budgets.c2) - 2.0 * math.exp(-budgets.c3))
 
 
@@ -137,37 +140,20 @@ class ReadBoundParams:
             raise ValueError(f"relative tolerance must be in (0, 1), got {self.rel_tol}")
 
 
-_FIXED_POINT_TOL = 1e-12
-_FIXED_POINT_MAX_ITER = 1_000_000
-
-
 def required_deviation_reads(params: ReadBoundParams, budgets: Budgets) -> float:
     """Deviation |base fraction - 1/4| that guarantees the read-based
     single-base estimator hits relative error ``rel_tol`` whenever the three
     concentration events of ``budgets`` all hold.
 
-    The requirement is self-referential: sequencer noise shifts read counts
-    by an amount proportional to the deviation itself. Solved by fixed-point
-    iteration from 0; the noise term contracts because error_rate < 3/4.
+    The requirement is self-referential: sequencer noise shifts the read
+    fraction of a base at 1/4 ± d by 4sd/3, so d = base + 4sd/3, which
+    solves to d = base / (1 - 4s/3), finite because s < 3/4.
     """
-    for c in budgets:
-        if c <= 0:
-            raise ValueError(f"budgets must be positive, got {budgets}")
+    _check_budgets(budgets)
     g, n = params.seq_len, params.num_reads
     base = (
         3.0 / (4.0 * params.rate * params.rel_tol)
         * (math.sqrt(budgets.c2 / (2.0 * n)) + math.sqrt(budgets.c1 / (2.0 * g)))
         + math.sqrt(budgets.c3 / (2.0 * n))
     )
-    s = params.error_rate
-
-    def noise_shift(frac: float) -> float:
-        return abs(4.0 * s / 3.0 * frac - s / 3.0)
-
-    d = 0.0
-    for _ in range(_FIXED_POINT_MAX_ITER):
-        new = base + max(noise_shift(0.25 + d), noise_shift(0.25 - d))
-        if abs(new - d) <= _FIXED_POINT_TOL:
-            return new
-        d = new
-    return d
+    return base / (1.0 - 4.0 * params.error_rate / 3.0)

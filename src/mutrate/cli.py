@@ -5,16 +5,18 @@ data, ``count`` builds k-mer tables, ``estimate`` runs one estimator on
 files, ``bounds`` evaluates the concentration formulas, and ``experiment``
 drives the Monte-Carlo harness.
 
-Numeric flags accept scientific notation (``--length 1e6``). Every
-subcommand that draws random numbers requires an explicit ``--seed``.
-Exit codes: 0 success, 1 domain or I/O failure (diagnostic on stderr),
-2 usage error.
+Numeric flags accept scientific notation (``--length 1e6``) and must be
+finite. Every subcommand that draws random numbers requires an explicit
+``--seed``. Exit codes: 0 success, 1 domain or I/O failure (diagnostic on
+stderr), 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 from . import bounds as bounds_mod
@@ -43,6 +45,7 @@ from .harness import (
     choose_k1_base,
     derive_seed,
     estimate,
+    read_count,
     run_experiment,
     source_length,
     summary_to_dict,
@@ -80,23 +83,26 @@ def _sci_int(text: str) -> int:
 
 
 def _sci_float(text: str) -> float:
+    """Finite float flag; nan and inf are usage errors."""
     try:
-        return float(text)
+        v = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return v
 
 
-def _dist(text: str) -> tuple[float, float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(
-            "distribution must be four comma-separated probabilities (A,C,G,T)"
-        )
-    try:
-        vals = tuple(float(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad probability in {text!r}") from None
+def _float_list(text: str, size: int | None = None, what: str = "numbers") -> tuple[float, ...]:
+    """Comma-separated finite numbers; exactly ``size`` of them when given."""
+    vals = tuple(_sci_float(p) for p in text.split(",") if p)
+    if size is not None and len(vals) != size:
+        raise argparse.ArgumentTypeError(f"expected {size} comma-separated {what}, got {text!r}")
     return vals
+
+
+_dist = functools.partial(_float_list, size=4, what="probabilities A,C,G,T")
+_dist3 = functools.partial(_float_list, size=3, what="exponents c1,c2,c3")
 
 
 def _subset(text: str) -> SubsetSpec:
@@ -121,13 +127,6 @@ def _base(text: str) -> str:
     if text == "auto" or text in ALPHABET:
         return text
     raise argparse.ArgumentTypeError(f"base must be 'auto' or one of ACGT, got {text!r}")
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in text.split(",") if p)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad number in list {text!r}") from None
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -193,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--read-len", type=_sci_int, default=DEFAULT_READ_LEN)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--num-reads", type=_sci_int, default=None)
-    group.add_argument("--coverage", type=_sci_float, default=None, help=f"default {DEFAULT_COVERAGE}")
+    group.add_argument("--coverage", type=_sci_float, default=DEFAULT_COVERAGE, help=f"default {DEFAULT_COVERAGE}")
     p.add_argument("--error-rate", type=_sci_float, default=0.0, help="per-base sequencer error")
     p.add_argument("--seed", type=_sci_int, required=True)
     p.add_argument("--allow-wrap", action="store_true", help="permit reads longer than the sequence")
@@ -309,16 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dist3(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("expected three comma-separated exponents c1,c2,c3")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad exponent in {text!r}") from None
-
-
 def _cmd_gen(args) -> int:
     seq = generate_iid_sequence(args.length, args.dist, args.seed)
     write_fasta(args.out, [FastaRecord(args.name, seq)])
@@ -338,14 +327,11 @@ def _cmd_mutate(args) -> int:
 
 def _cmd_reads(args) -> int:
     rec = _pick_record(read_fasta(args.inp), args.record, args.inp)
-    g = len(rec.seq)
-    if args.num_reads is not None:
-        n = args.num_reads
-    else:
-        cov = args.coverage if args.coverage is not None else DEFAULT_COVERAGE
-        n = int(round(cov * g / args.read_len))
-    if n < 1:
-        raise MutrateError(f"computed number of reads is {n}; raise coverage or --num-reads")
+    n = args.num_reads
+    if n is None:
+        n = read_count(args.coverage, len(rec.seq), args.read_len)
+    elif n < 1:
+        raise MutrateError(f"--num-reads must be >= 1, got {n}")
     rs = sample_reads(
         rec.seq,
         args.read_len,
@@ -423,8 +409,7 @@ def _result_to_dict(result: EstimateResult, extras: dict) -> dict:
         out["diagnostics"]["lambda_fallback"] = d.lambda_fallback
     if d.retained_mass is not None:
         out["diagnostics"]["retained_mass"] = d.retained_mass
-    if d.root_bracket is not None:
-        out["diagnostics"]["root_bracket"] = list(d.root_bracket)
+    if result.estimator is EstimatorId.GENERAL_K:
         out["diagnostics"]["multiple_roots"] = d.multiple_roots
     return out
 

@@ -4,8 +4,8 @@ Three families:
 
 * closed-form single-symbol estimators (one nucleotide's frequency, GC
   content, or one nucleotide's read counts),
-* a general-k moment matcher that numerically inverts the expected k-mer
-  spectrum over a chosen subset of source k-mers,
+* a general-k moment matcher that inverts the expected k-mer spectrum over
+  a chosen subset of source k-mers, a degree-k polynomial in the rate,
 * large-k estimators that treat k-mer survival as all-or-nothing and read
   the rate off the surviving mass, with a count threshold to cut sequencer
   noise on the read-based variant.
@@ -21,13 +21,17 @@ from enum import Enum
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebinterpolate, chebroots
 
 from .errors import EmptyRetainedSet, MismatchedK, NoRootInRange, SingularDenominator
 from .kmers import KmerTable, decode_kmer, distance_profile, encode_kmer, lookup
 
-GRID_POINTS = 256
 SEARCH_MAX = 0.75
-BISECT_TOL = 1e-9
+# generous bounds, on [lo, hi] mapped to [-1, 1], on how far rounding moves a
+# simple root of the moment polynomial (about eps) and a double one (about
+# eps**(1/2), often off the real axis)
+SIMPLE_ROOT_TOL = np.finfo(np.float64).eps ** (1 / 2)
+DOUBLE_ROOT_TOL = np.finfo(np.float64).eps ** (1 / 3)
 
 MutatedCounts = Union[KmerTable, Mapping[str, float]]
 
@@ -50,7 +54,6 @@ class Diagnostics:
 
     lambda_threshold: int | None = None
     retained_mass: float | None = None
-    root_bracket: tuple[float, float] | None = None
     lambda_fallback: bool = False
     multiple_roots: bool = False
 
@@ -254,48 +257,33 @@ class SubsetSpec:
 # root finding on [0, SEARCH_MAX]
 
 
-def _bisect(g: Callable[[float], float], lo: float, hi: float, g_lo: float) -> float:
-    while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        if g_mid == 0.0:
-            return mid
-        if (g_mid > 0) == (g_lo > 0):
-            lo, g_lo = mid, g_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def find_smallest_root(
     g: Callable[[float], float],
+    degree: int,
     lo: float = 0.0,
     hi: float = SEARCH_MAX,
-) -> tuple[float, tuple[float, float], bool]:
-    """Smallest root of ``g`` on [lo, hi] by grid scan plus bisection.
+) -> tuple[float, bool]:
+    """Smallest real root on [lo, hi] of ``g``, a polynomial of degree at
+    most ``degree``.
 
-    Scans GRID_POINTS equally spaced points; an exact zero counts as a root,
-    a sign change between neighbors is bisected down to BISECT_TOL. Returns
-    (root, bracket, more_than_one). Raises :class:`NoRootInRange` when the
-    grid sees no zero and no sign change.
+    g's values at the degree + 1 Chebyshev points of [lo, hi] fix it
+    exactly; the roots of that Chebyshev interpolant are the eigenvalues of
+    its colleague matrix. On the interval mapped to [-1, 1], a root counts
+    when rounding could have moved it off the real axis (DOUBLE_ROOT_TOL) or
+    past an end (SIMPLE_ROOT_TOL), at its real part clipped to the interval.
+    Returns (root, more_than_one), where roots closer than DOUBLE_ROOT_TOL
+    are one root. Raises :class:`NoRootInRange` when there is none.
     """
-    qs = np.linspace(lo, hi, GRID_POINTS)
-    vals = np.array([g(float(q)) for q in qs], dtype=np.float64)
-    roots: list[tuple[float, tuple[float, float]]] = []
-    for i in range(GRID_POINTS):
-        if vals[i] == 0.0:
-            q = float(qs[i])
-            roots.append((q, (q, q)))
-        elif i + 1 < GRID_POINTS and vals[i + 1] != 0.0 and (vals[i] > 0) != (vals[i + 1] > 0):
-            root = _bisect(g, float(qs[i]), float(qs[i + 1]), float(vals[i]))
-            roots.append((root, (float(qs[i]), float(qs[i + 1]))))
-    if not roots:
-        raise NoRootInRange(
-            f"moment equation has no sign change on [{lo}, {hi}]"
-        )
-    roots.sort(key=lambda r: r[0])
-    root, bracket = roots[0]
-    return root, bracket, len(roots) > 1
+    half = 0.5 * (hi - lo)
+    coef = chebinterpolate(lambda ts: [g(lo + half * (1.0 + float(t))) for t in ts], degree)
+    if not coef.any():  # every point is a root
+        return lo, True
+    z = chebroots(coef)
+    z = z[(np.abs(z.imag) <= DOUBLE_ROOT_TOL) & (np.abs(z.real) <= 1.0 + SIMPLE_ROOT_TOL)]
+    if z.size == 0:
+        raise NoRootInRange(f"moment equation has no root on [{lo}, {hi}]")
+    ts = np.clip(z.real, -1.0, 1.0)
+    return lo + half * (1.0 + float(ts.min())), bool(ts.max() - ts.min() > DOUBLE_ROOT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +300,10 @@ def estimate_general_k(
 
     The expectation of a k-mer's mutated count is a degree-k polynomial in
     the rate, weighted by how much source mass sits at each Hamming distance;
-    those weights are precomputed once so each evaluation is O(k). The
-    smallest root on [0, 0.75] is returned; additional roots only raise a
-    warning because the small-rate regime is the intended one.
+    those weights are precomputed once so each evaluation is O(k), and k + 1
+    evaluations fix the polynomial. Its smallest real root on [0, 0.75] is
+    returned; additional roots only raise a warning because the small-rate
+    regime is the intended one.
     """
     if source.provenance != "sequence":
         raise ValueError("moment matching is defined on full-sequence tables")
@@ -342,13 +331,13 @@ def estimate_general_k(
                 acc += profile[d] * keep ** (k - d) * flip**d
         return acc - target
 
-    root, bracket, multiple = find_smallest_root(g)
+    root, multiple = find_smallest_root(g, k)
     warnings = []
     if multiple:
         warnings.append(
             "moment equation has more than one root on [0, 0.75]; reporting the smallest"
         )
-    diag = Diagnostics(root_bracket=bracket, multiple_roots=multiple)
+    diag = Diagnostics(multiple_roots=multiple)
     return _result(EstimatorId.GENERAL_K, root, diag, warnings)
 
 

@@ -277,6 +277,9 @@ class ExperimentConfig:
             raise ValueError(f"k1_base must be 'auto' or one of ACGT, got {self.k1_base!r}")
         if self.subset is not None and EstimatorId.GENERAL_K not in estimators:
             raise ValueError("subset only applies to the general-k estimator")
+        for c in self.coverage_grid:
+            if not 0.0 < c < math.inf:
+                raise ValueError(f"coverages must be positive and finite, got {c}")
         if mode is Mode.SEQ:
             if not self.s_grid:
                 raise ValueError("read mode needs a nonempty s_grid")
@@ -285,9 +288,6 @@ class ExperimentConfig:
                     raise ValueError(f"error rates must be in [0, 1), got {s}")
             if not self.coverage_grid:
                 raise ValueError("read mode needs a nonempty coverage_grid")
-            for c in self.coverage_grid:
-                if c <= 0:
-                    raise ValueError(f"coverages must be positive, got {c}")
             if self.read_len < max(self.k_values):
                 raise ValueError(
                     f"read_len {self.read_len} shorter than largest k {max(self.k_values)}"
@@ -297,8 +297,8 @@ class ExperimentConfig:
             raise ValueError(
                 "separate mutated-side read parameters only apply to large-k-reads"
             )
-        if self.y_coverage is not None and self.y_coverage <= 0:
-            raise ValueError(f"y_coverage must be positive, got {self.y_coverage}")
+        if self.y_coverage is not None and not 0.0 < self.y_coverage < math.inf:
+            raise ValueError(f"y_coverage must be positive and finite, got {self.y_coverage}")
         if self.y_read_len is not None and self.y_read_len < max(self.k_values):
             raise ValueError("y_read_len must cover the largest k")
 
@@ -451,7 +451,9 @@ def _load_references(config: ExperimentConfig, seeds: _SeedBook) -> list[_Refere
     return refs
 
 
-def _num_reads(coverage: float, g: int, read_len: int) -> int:
+def read_count(coverage: float, g: int, read_len: int) -> int:
+    """Reads of length ``read_len`` that cover ``g`` bases ``coverage``
+    times, rounded to the nearest count; fewer than one is an error."""
     n = int(round(coverage * g / read_len))
     if n < 1:
         raise ValueError(
@@ -475,8 +477,8 @@ def _estimate_trial(
         channel = SubstitutionChannel(gp.s)
         y_len = config.y_read_len if config.y_read_len is not None else config.read_len
         y_cov = config.y_coverage if config.y_coverage is not None else gp.coverage
-        n = _num_reads(gp.coverage, g, config.read_len)
-        y_n = _num_reads(y_cov, g, y_len)
+        n = read_count(gp.coverage, g, config.read_len)
+        y_n = read_count(y_cov, g, y_len)
         x = sample_reads(x, config.read_len, n, channel, seeds.seed(*trial_key, "xreads"))
         y = sample_reads(y, y_len, y_n, channel, seeds.seed(*trial_key, "yreads"))
     elif gp.estimator in (EstimatorId.GENERAL_K, EstimatorId.LARGE_K_SEQ):

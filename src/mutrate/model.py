@@ -148,14 +148,11 @@ def mutate(x: CircularSequence, channel: SubstitutionChannel, rng_seed: int) -> 
 class ReadSet:
     """N reads of identical length from one source sequence.
 
-    ``matrix`` is (N, L) uint8. Start positions are retained in ``_origins``
-    purely so tests can check the sampler against the source; estimators must
-    never look at them, and serialization drops them.
+    ``matrix`` is (N, L) uint8.
     """
 
     matrix: np.ndarray
     source_len: int
-    _origins: np.ndarray | None = None
 
     def __post_init__(self):
         m = np.ascontiguousarray(self.matrix, dtype=np.uint8)
@@ -179,10 +176,6 @@ class ReadSet:
     def coverage(self) -> float:
         """Expected per-position coverage, num_reads * read_len / source_len."""
         return self.num_reads * self.read_len / self.source_len
-
-    def origins_for_testing(self) -> np.ndarray | None:
-        """Start positions of each read. Test-only: estimators must not use this."""
-        return None if self._origins is None else self._origins.copy()
 
 
 def sample_reads(
@@ -221,7 +214,7 @@ def sample_reads(
     ext = np.tile(x.codes, laps)[: G + read_len - 1]
     reads = sliding_window_view(ext, read_len)[starts]
     _substitute(reads, error_channel.rate, rng, out=reads)
-    return ReadSet(reads, G, _origins=starts)
+    return ReadSet(reads, G)
 
 
 def generate_iid_sequence(length: int, distribution, rng_seed: int) -> CircularSequence:

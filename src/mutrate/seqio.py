@@ -105,15 +105,11 @@ def read_fasta(path: str | Path, on_invalid: str = "error") -> list[FastaRecord]
         raise FastaParseError(f"{path}: {exc}") from None
 
 
-def write_fasta(path: str | Path, records: list[FastaRecord] | list[tuple[str, CircularSequence]]) -> None:
+def write_fasta(path: str | Path, records: list[FastaRecord]) -> None:
     lines = []
     for rec in records:
-        if isinstance(rec, FastaRecord):
-            name, seq = rec.name, rec.seq
-        else:
-            name, seq = rec
-        lines.append(f">{name}")
-        text = seq.to_string()
+        lines.append(f">{rec.name}")
+        text = rec.seq.to_string()
         for i in range(0, len(text), FASTA_LINE_WIDTH):
             lines.append(text[i : i + FASTA_LINE_WIDTH])
     Path(path).write_text("\n".join(lines) + "\n")

@@ -68,6 +68,42 @@ def closed_form_expected_count(seq: str, kmer: str, rate: float) -> float:
     return total
 
 
+def hamming_profile(counts: dict[str, int], subset: list[str]) -> list[int]:
+    """Source count at each Hamming distance 0..k from the subset's k-mers,
+    by comparing every pair."""
+    k = len(subset[0])
+    profile = [0] * (k + 1)
+    for s in subset:
+        for w, c in counts.items():
+            profile[hamming(w, s)] += c
+    return profile
+
+
+def roots_by_scan(f, lo: float, hi: float, points: int = 4001, tol: float = 1e-14) -> list[float]:
+    """Roots of ``f`` on [lo, hi] that a dense grid sees, ascending: grid
+    points where f is exactly zero, and every sign change between neighbours
+    bisected down to ``tol``. Two roots inside one grid cell are missed."""
+    qs = [lo + (hi - lo) * i / (points - 1) for i in range(points)]
+    vals = [f(q) for q in qs]
+    roots = []
+    for i in range(points):
+        if vals[i] == 0.0:
+            roots.append(qs[i])
+        elif i + 1 < points and vals[i + 1] != 0.0 and (vals[i] > 0) != (vals[i + 1] > 0):
+            a, b, fa = qs[i], qs[i + 1], vals[i]
+            while b - a > tol:
+                mid = 0.5 * (a + b)
+                fm = f(mid)
+                if fm == 0.0:
+                    a = b = mid
+                elif (fm > 0) == (fa > 0):
+                    a, fa = mid, fm
+                else:
+                    b = mid
+            roots.append(0.5 * (a + b))
+    return roots
+
+
 def binom_stddev(n: int, p: float) -> float:
     return math.sqrt(n * p * (1.0 - p))
 

@@ -110,7 +110,7 @@ class TestRequiredDeviation:
         assert d == pytest.approx(0.112, abs=0.01)
 
     def test_zero_noise_closed_form(self):
-        # with s = 0 the fixed point loses its self-referential term
+        # with s = 0 the requirement loses its self-referential term
         p = std_params(error_rate=0.0)
         b = equal_budgets(1e-3)
         d = required_deviation_reads(p, b)
@@ -118,6 +118,22 @@ class TestRequiredDeviation:
             math.sqrt(b.c2 / (2 * p.num_reads)) + math.sqrt(b.c1 / (2 * p.seq_len))
         ) + math.sqrt(b.c3 / (2 * p.num_reads))
         assert d == pytest.approx(direct, abs=1e-12)
+
+    def test_closed_form_near_the_noise_limit(self):
+        # the fixed-point loop this replaced stopped at its iteration cap here
+        # and returned a deviation 87.5% short
+        s = 0.75 - 1e-7
+        p, b = std_params(error_rate=s), equal_budgets(1e-3)
+        base = required_deviation_reads(std_params(error_rate=0.0), b)
+        assert required_deviation_reads(p, b) == pytest.approx(base / (1 - 4 * s / 3), rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_budgets_must_be_positive(self, bad):
+        budgets = Budgets(1.0, bad, 1.0)
+        with pytest.raises(ValueError, match="budgets must be positive"):
+            required_deviation_reads(std_params(), budgets)
+        with pytest.raises(ValueError, match="budgets must be positive"):
+            success_probability(budgets)
 
     def test_monotone_in_data_volume(self):
         b = equal_budgets(1e-3)

@@ -54,6 +54,78 @@ class TestGenerate:
         rs = read_reads(r)
         assert rs.num_reads == 50 and rs.read_len == 100
 
+    def test_default_coverage(self, tmp_path, capsys):
+        x = tmp_path / "x.fa"
+        r = tmp_path / "r.reads"
+        run(capsys, "gen", "--length", "1000", "--seed", "1", "--out", str(x))
+        code, _, _ = run(capsys, "reads", "--in", str(x), "--read-len", "100", "--seed", "3", "--out", str(r))
+        assert code == 0
+        assert read_reads(r).num_reads == 300  # coverage 30
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--coverage", "0.001"], "coverage 0.001 at read length 100 on length 1000 yields no reads"),
+            (["--num-reads", "0"], "--num-reads must be >= 1, got 0"),
+        ],
+    )
+    def test_no_reads_exits_one(self, tmp_path, capsys, flags, message):
+        x = tmp_path / "x.fa"
+        run(capsys, "gen", "--length", "1000", "--seed", "1", "--out", str(x))
+        code, out, err = run(
+            capsys, "reads", "--in", str(x), "--read-len", "100", "--seed", "3",
+            "--out", str(tmp_path / "r.reads"), *flags,
+        )
+        assert (code, out) == (1, "")
+        assert message in err
+
+
+# one valid command line per float flag; {} is the flag's value
+FLOAT_FLAGS = {
+    "gen --dist": "gen --length 100 --seed 1 --out o.fa --dist 0.5,{},0.25,0.25",
+    "mutate --rate": "mutate --in x.fa --seed 1 --out y.fa --rate {}",
+    "reads --coverage": "reads --in x.fa --seed 1 --out r.reads --coverage {}",
+    "reads --error-rate": "reads --in x.fa --seed 1 --out r.reads --error-rate {}",
+    "estimate --s": "estimate --estimator large-k-reads --x-reads a --y-reads b -k 20 --s {}",
+    "hoeffding --t": "bounds hoeffding --width 1 --n 10 --t {}",
+    "hoeffding --width": "bounds hoeffding --t 1 --n 10 --width {}",
+    "mcdiarmid --t": "bounds mcdiarmid --diff 1 --n 10 --t {}",
+    "mcdiarmid --diff": "bounds mcdiarmid --t 1 --n 10 --diff {}",
+    "min-deviation --rate": "bounds min-deviation --eps 0.1 --length 1e4 --rate {}",
+    "min-deviation --eps": "bounds min-deviation --rate 0.1 --length 1e4 --eps {}",
+    "min-deviation --length": "bounds min-deviation --rate 0.1 --eps 0.1 --length {}",
+    **{
+        f"required-deviation {flag}": "bounds required-deviation --length 1e7 --num-reads 1e6 --rate 0.2 "
+        f"--s 0.03 --eps 0.1 --delta 1e-3 {flag} {{}}"
+        for flag in ("--length", "--num-reads", "--rate", "--s", "--eps", "--delta")
+    },
+    "required-deviation --budgets": "bounds required-deviation --length 1e7 --num-reads 1e6 --rate 0.2 "
+    "--s 0.03 --eps 0.1 --budgets 1,{},1",
+    "success --delta": "bounds success --delta {}",
+    "success --budgets": "bounds success --budgets {},1,1",
+    **{
+        f"experiment {flag}": "experiment --mode seq --estimators k1-reads --p 0.1 --trials 1 --seed 1 "
+        f"--length 1000 --read-len 100 {flag} {value}"
+        for flag, value in (
+            ("--p", "0.1,{}"),
+            ("--s", "{}"),
+            ("--coverage", "10,{}"),
+            ("--y-coverage", "{}"),
+            ("--dist", "{},0.2,0.2,0.2"),
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", FLOAT_FLAGS)
+def test_non_finite_float_is_usage_error(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(FLOAT_FLAGS[flag].format(value).split())
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert f"not a finite number: '{value}'" in err and "Traceback" not in err
+
 
 class TestCount:
     def test_count_sequence(self, tmp_path, capsys):
@@ -109,7 +181,7 @@ class TestEstimate:
         assert code == 0
         payload = json.loads(out)
         assert abs(payload["p_raw"] - 0.1) < 0.05
-        assert "root_bracket" in payload["diagnostics"]
+        assert payload["diagnostics"]["multiple_roots"] is False
 
     def test_large_k_seq(self, skewed_pair, capsys):
         x, y = skewed_pair

@@ -7,10 +7,11 @@ the bookkeeping.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -34,7 +35,7 @@ from mutrate.estimators import (
     select_lambda,
 )
 from mutrate.harness import estimate
-from mutrate.kmers import KmerTable, count_kmers_reads, count_kmers_sequence, expected_kmer_count
+from mutrate.kmers import KmerTable, count_kmers_reads, count_kmers_sequence, decode_kmer, expected_kmer_count
 from mutrate.model import (
     CircularSequence,
     SubstitutionChannel,
@@ -186,6 +187,31 @@ STRINGS = [
 ]
 
 
+def moment(profile: list[int], q: float) -> float:
+    """Expected mutated mass on a subset whose source mass at Hamming
+    distance d is profile[d]."""
+    k = len(profile) - 1
+    return sum(m * (1 - q) ** (k - d) * (q / 3) ** d for d, m in enumerate(profile))
+
+
+@st.composite
+def moment_cases(draw):
+    """A random source table at k <= 6, a subset of its k-mers whose moment
+    moves with the rate, and a target mass within 20% of the moment at a
+    random rate."""
+    k = draw(st.integers(1, 6))
+    kmers = draw(st.lists(st.text("ACGT", min_size=k, max_size=k), min_size=1, max_size=12, unique=True))
+    counts = {s: draw(st.integers(1, 50)) for s in kmers}
+    subset = draw(st.lists(st.sampled_from(kmers), min_size=1, max_size=len(kmers), unique=True))
+    profile = oracles.hamming_profile(counts, subset)
+    # a moment constant in the rate (as with base A at exactly 1/4 of a k=1
+    # table) makes every rate a root; a degree-k polynomial is constant when
+    # it takes one value, exactly, at k + 1 points
+    assume(len({moment(profile, Fraction(q)) for q in range(k + 1)}) > 1)
+    target = draw(st.floats(0.8, 1.2)) * moment(profile, draw(st.floats(0.0, 0.75)))
+    return k, counts, subset, target
+
+
 class TestGeneralK:
     @pytest.mark.parametrize("p", RATES)
     @pytest.mark.parametrize("text", STRINGS)
@@ -221,12 +247,53 @@ class TestGeneralK:
         with pytest.raises(NoRootInRange):
             estimate_general_k(t, fake, SubsetSpec.explicit(["AA"]))
 
-    def test_root_bracket_reported(self):
+    def test_moment_changes_sign_at_root(self):
         x = CircularSequence.from_string(STRINGS[0])
+        source = count_kmers_sequence(x, 3)
         counts = exact_mutated_counts(x, 3, 0.2)
-        r = estimate_general_k(count_kmers_sequence(x, 3), counts, SubsetSpec.top(5))
-        lo, hi = r.diagnostics.root_bracket
-        assert lo <= r.p_raw <= hi
+        subset = SubsetSpec.top(5)
+        r = estimate_general_k(source, counts, subset)
+        kmers = [decode_kmer(int(v), 3) for v in subset.resolve(source)]
+        profile = oracles.hamming_profile(dict(source.items()), kmers)
+        target = sum(counts[s] for s in kmers)
+        g = lambda q: moment(profile, q) - target  # noqa: E731
+        assert g(r.p_raw - 1e-9) * g(r.p_raw + 1e-9) < 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=moment_cases())
+    # (1-q)^2 + 50(q/3)^2 falls from 1 to 0.85 at q = 0.15, then rises
+    @example(case=(2, {"AA": 1, "CC": 50}, ["AA"], 0.9))  # two roots
+    @example(case=(2, {"AA": 1, "CC": 50}, ["AA"], 0.5))  # none
+    def test_roots_against_scan_oracle(self, case):
+        """The smallest root and ``multiple_roots`` agree with a dense
+        sign-change scan of the moment equation, or both find no root."""
+        k, counts, kmers, target = case
+        source = KmerTable.from_mapping(k, counts)
+        profile = oracles.hamming_profile(counts, kmers)
+        g = lambda q: moment(profile, q) - target  # noqa: E731
+        # a root within rounding of an end may land on either side of it
+        assume(min(abs(g(0.0)), abs(g(0.75))) > 1e-6 * target)
+        roots = oracles.roots_by_scan(g, 0.0, 0.75)
+        subset = SubsetSpec.explicit(kmers)
+        if not roots:
+            with pytest.raises(NoRootInRange):
+                estimate_general_k(source, {kmers[0]: target}, subset)
+            return
+        r = estimate_general_k(source, {kmers[0]: target}, subset)
+        assert r.p_raw == pytest.approx(roots[0], abs=1e-11)
+        assert r.diagnostics.multiple_roots == (len(roots) > 1)
+
+    @pytest.mark.parametrize("p", [0.001, 0.05, 0.2])
+    def test_plugin_identity_at_k32(self, p):
+        x = generate_iid_sequence(400, (0.4, 0.2, 0.2, 0.2), rng_seed=32)
+        text = x.to_string()
+        source = count_kmers_sequence(x, 32)
+        subset = SubsetSpec.top(20)
+        kmers = [decode_kmer(int(v), 32) for v in subset.resolve(source)]
+        counts = {s: oracles.closed_form_expected_count(text, s, p) for s in kmers}
+        r = estimate_general_k(source, counts, subset)
+        assert r.p_raw == pytest.approx(p, abs=1e-12)
+        assert not r.diagnostics.multiple_roots
 
     def test_subset_validation(self):
         t = count_kmers_sequence(CircularSequence.from_string("AAAA"), 2)
@@ -472,24 +539,57 @@ class TestSequenceLengthsMustMatch:
 
 class TestRootFinder:
     def test_linear(self):
-        root, bracket, multiple = find_smallest_root(lambda q: q - 0.3, 0.0, 0.75)
-        assert root == pytest.approx(0.3, abs=1e-9)
-        assert bracket[0] <= root <= bracket[1]
+        root, multiple = find_smallest_root(lambda q: q - 0.3, 1, 0.0, 0.75)
+        assert root == pytest.approx(0.3, abs=1e-15)
         assert not multiple
 
     def test_smallest_of_several(self):
         f = lambda q: (q - 0.1) * (q - 0.5)  # noqa: E731
-        root, _, multiple = find_smallest_root(f, 0.0, 0.75)
-        assert root == pytest.approx(0.1, abs=1e-9)
+        root, multiple = find_smallest_root(f, 2, 0.0, 0.75)
+        assert root == pytest.approx(0.1, abs=1e-15)
         assert multiple
 
     def test_no_root(self):
         with pytest.raises(NoRootInRange):
-            find_smallest_root(lambda q: q + 1.0, 0.0, 0.75)
+            find_smallest_root(lambda q: q + 1.0, 1, 0.0, 0.75)
+        with pytest.raises(NoRootInRange):
+            # two real roots outside, and a complex pair inside, [0, 0.75]
+            find_smallest_root(lambda q: ((q - 0.4) ** 2 + 0.01) * (q + 1) * (q - 2), 4)
 
     def test_root_at_zero(self):
-        root, _, _ = find_smallest_root(lambda q: q, 0.0, 0.75)
-        assert root == pytest.approx(0.0, abs=1e-9)
+        root, _ = find_smallest_root(lambda q: q, 1, 0.0, 0.75)
+        assert root == 0.0
+
+    @pytest.mark.parametrize("f, degree", [(lambda q: q - 0.75, 1), (lambda q: (q - 0.75) * (q - 0.8), 2)])
+    def test_root_at_the_upper_end(self, f, degree):
+        # rounding can put an end root just past the end; it still counts
+        assert find_smallest_root(f, degree) == (pytest.approx(0.75, abs=1e-12), False)
+
+    @pytest.mark.parametrize(
+        "f, degree, root, multiple",
+        [
+            (lambda q: (q - 0.2) ** 2, 2, 0.2, False),
+            (lambda q: (q - 0.2) ** 2, 6, 0.2, False),
+            (lambda q: (q - 0.1) ** 2 * (q - 0.5), 3, 0.1, True),
+            (lambda q: q**2 * (q - 0.3), 3, 0.0, True),
+        ],
+    )
+    def test_double_root(self, f, degree, root, multiple):
+        # g touches zero without changing sign: no grid sees it, rounding may
+        # split it into two close or complex roots, and it counts once
+        assert find_smallest_root(f, degree) == (pytest.approx(root, abs=1e-7), multiple)
+
+    def test_zero_polynomial(self):
+        assert find_smallest_root(lambda q: 0.0, 3) == (0.0, True)
+
+    def test_degree_above_the_polynomial(self):
+        # an unneeded degree only adds interpolation points
+        assert find_smallest_root(lambda q: 0.4 - q, 12) == (pytest.approx(0.4, abs=1e-14), False)
+
+    def test_evaluations(self):
+        calls = []
+        find_smallest_root(lambda q: calls.append(q) or q - 0.3, 7)
+        assert len(calls) == 8 and all(0.0 < q < 0.75 for q in calls)
 
 
 class TestMonteCarlo:

@@ -128,6 +128,20 @@ class TestConfig:
             nonseq_config(**{name: values})
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_coverage_must_be_positive_and_finite(self, bad):
+        # NaN passed `c <= 0`: read mode then failed converting it to a read
+        # count, and nonseq mode wrote it into the summary
+        with pytest.raises(ValueError, match="coverages must be positive and finite"):
+            nonseq_config(coverage_grid=(10.0, bad))
+        with pytest.raises(ValueError, match="coverages must be positive and finite"):
+            nonseq_config(mode=Mode.SEQ, estimators=(EstimatorId.K1_READS,), read_len=100, coverage_grid=(bad,))
+        with pytest.raises(ValueError, match="y_coverage must be positive and finite"):
+            nonseq_config(
+                mode=Mode.SEQ, estimators=(EstimatorId.LARGE_K_READS,), k_values=(20,), read_len=100, y_coverage=bad
+            )
+
+
 class TestSeeds:
     def test_derive_seed_stable(self):
         assert derive_seed(1, "a", 2) == derive_seed(1, "a", 2)

@@ -215,6 +215,11 @@ class TestSparseChannel:
         assert (tiny == np.iinfo(np.int64).max).all()
 
 
+def read_starts(rng_seed: int, g: int, num_reads: int) -> np.ndarray:
+    """The start positions ``sample_reads`` draws first, by its documented draw order."""
+    return np.random.default_rng(rng_seed).integers(0, g, size=num_reads, dtype=np.int64)
+
+
 class TestReads:
     def test_shapes_and_coverage(self):
         x = generate_iid_sequence(1000, (0.25, 0.25, 0.25, 0.25), rng_seed=1)
@@ -227,13 +232,13 @@ class TestReads:
         x = generate_iid_sequence(200, (0.25, 0.25, 0.25, 0.25), rng_seed=3)
         rs = sample_reads(x, 200, 10, SubstitutionChannel(0.0), rng_seed=4)
         doubled = x.to_string() * 2
-        for row, start in zip(rs.matrix, rs.origins_for_testing()):
+        for row, start in zip(rs.matrix, read_starts(4, 200, 10)):
             assert codes_to_string(row) == doubled[start : start + 200]
 
     def test_reads_wrap_the_boundary(self):
         x = CircularSequence.from_string("ACGTACGT")
         rs = sample_reads(x, 5, 200, SubstitutionChannel(0.0), rng_seed=5)
-        starts = rs.origins_for_testing()
+        starts = read_starts(5, 8, 200)
         assert starts.max() > 3  # some read crosses the wrap point
         doubled = x.to_string() * 2
         for row, start in zip(rs.matrix, starts):
@@ -243,7 +248,10 @@ class TestReads:
         scipy_stats = pytest.importorskip("scipy.stats")
         x = generate_iid_sequence(50, (0.25, 0.25, 0.25, 0.25), rng_seed=6)
         rs = sample_reads(x, 10, 20000, SubstitutionChannel(0.0), rng_seed=7)
-        observed = np.bincount(rs.origins_for_testing(), minlength=50)
+        starts = read_starts(7, 50, 20000)
+        ext = np.concatenate([x.codes, x.codes[:9]])
+        assert np.array_equal(rs.matrix, ext[starts[:, None] + np.arange(10)])
+        observed = np.bincount(starts, minlength=50)
         _, pvalue = scipy_stats.chisquare(observed)
         assert pvalue > 1e-3
 

@@ -354,7 +354,7 @@ class TestKmerTableCodec:
 
 
 class TestReadsIO:
-    def test_round_trip_drops_origins(self, tmp_path):
+    def test_round_trip(self, tmp_path):
         x = generate_iid_sequence(300, (0.25, 0.25, 0.25, 0.25), rng_seed=4)
         rs = sample_reads(x, 50, 7, SubstitutionChannel(0.05), rng_seed=5)
         path = tmp_path / "r.reads"
@@ -362,7 +362,6 @@ class TestReadsIO:
         back = read_reads(path)
         assert np.array_equal(back.matrix, rs.matrix)
         assert back.source_len == rs.source_len
-        assert back.origins_for_testing() is None
 
     def test_header(self, tmp_path):
         x = generate_iid_sequence(120, (0.25, 0.25, 0.25, 0.25), rng_seed=6)

@@ -23,25 +23,25 @@ def _sum_sq(values: float | Sequence[float], n: int | None, what: str) -> float:
     if isinstance(values, (int, float)):
         if n is None:
             raise ValueError(f"scalar {what} needs an explicit term count n")
-        if n < 1:
-            raise ValueError(f"term count must be >= 1, got {n}")
-        if values < 0:
-            raise ValueError(f"{what} must be nonnegative, got {values}")
+        if not 1 <= n < math.inf:
+            raise ValueError(f"term count must be >= 1 and finite, got {n}")
+        if not 0 <= values < math.inf:
+            raise ValueError(f"{what} must be nonnegative and finite, got {values}")
         return n * float(values) ** 2
     seq = [float(v) for v in values]
     if not seq:
         raise ValueError(f"{what} sequence must be nonempty")
     if n is not None and n != len(seq):
         raise ValueError(f"n={n} disagrees with {len(seq)} {what} entries")
-    if any(v < 0 for v in seq):
-        raise ValueError(f"every {what} entry must be nonnegative")
+    if not all(0 <= v < math.inf for v in seq):
+        raise ValueError(f"every {what} entry must be nonnegative and finite")
     return sum(v * v for v in seq)
 
 
 def _two_sided_tail(t: float, sum_sq: float) -> float:
     """min(1, 2 exp(-2 t^2 / sum_sq)); degenerate variables cannot deviate."""
-    if t < 0:
-        raise ValueError(f"deviation t must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"deviation t must be >= 0 and finite, got {t}")
     if t == 0.0:
         return 1.0
     if sum_sq == 0.0:
@@ -75,10 +75,10 @@ def min_deviation_sequence(rate: float, rel_tol: float, seq_len: float) -> float
     """
     if not 0.0 < rate < 1.0:
         raise ValueError(f"rate must be in (0, 1), got {rate}")
-    if rel_tol <= 0:
-        raise ValueError(f"relative tolerance must be positive, got {rel_tol}")
-    if seq_len < 1:
-        raise ValueError(f"sequence length must be >= 1, got {seq_len}")
+    if not 0 < rel_tol < math.inf:
+        raise ValueError(f"relative tolerance must be positive and finite, got {rel_tol}")
+    if not 1 <= seq_len < math.inf:
+        raise ValueError(f"sequence length must be >= 1 and finite, got {seq_len}")
     return math.sqrt(1.5 / (rate * rate * rel_tol * rel_tol * seq_len))
 
 
@@ -128,10 +128,10 @@ class ReadBoundParams:
     rel_tol: float
 
     def __post_init__(self):
-        if self.seq_len < 1:
-            raise ValueError(f"sequence length must be >= 1, got {self.seq_len}")
-        if self.num_reads < 1:
-            raise ValueError(f"number of reads must be >= 1, got {self.num_reads}")
+        if not 1 <= self.seq_len < math.inf:
+            raise ValueError(f"sequence length must be >= 1 and finite, got {self.seq_len}")
+        if not 1 <= self.num_reads < math.inf:
+            raise ValueError(f"number of reads must be >= 1 and finite, got {self.num_reads}")
         if not 0.0 < self.rate < MAX_RATE:
             raise ValueError(f"rate must be in (0, {MAX_RATE}), got {self.rate}")
         if not 0.0 <= self.error_rate < MAX_RATE:

@@ -21,7 +21,7 @@ import sys
 
 from . import bounds as bounds_mod
 from .errors import MutrateError
-from .estimators import EstimateResult, EstimatorId, READ_BASED, SubsetSpec
+from .estimators import EstimateResult, EstimatorId, KMER_BASED, READ_BASED, SINGLE_BASE, SubsetSpec
 
 # not called here; perfbench/tracing.py wraps these names on this module
 from .estimators import (  # noqa: F401
@@ -38,16 +38,13 @@ from .harness import (
     ExperimentConfig,
     FastaSource,
     IidSource,
-    MODE_ESTIMATORS,
     Mode,
     as_table,
-    check_same_length,
     choose_k1_base,
     derive_seed,
     estimate,
     read_count,
     run_experiment,
-    source_length,
     summary_to_dict,
     write_summary_json,
     write_trials_csv,
@@ -308,13 +305,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args, parser: argparse.ArgumentParser) -> int:
     seq = generate_iid_sequence(args.length, args.dist, args.seed)
     write_fasta(args.out, [FastaRecord(args.name, seq)])
     return 0
 
 
-def _cmd_mutate(args) -> int:
+def _cmd_mutate(args, parser: argparse.ArgumentParser) -> int:
     records = read_fasta(args.inp)
     channel = SubstitutionChannel(args.rate)
     out = [
@@ -325,7 +322,7 @@ def _cmd_mutate(args) -> int:
     return 0
 
 
-def _cmd_reads(args) -> int:
+def _cmd_reads(args, parser: argparse.ArgumentParser) -> int:
     rec = _pick_record(read_fasta(args.inp), args.record, args.inp)
     n = args.num_reads
     if n is None:
@@ -344,7 +341,7 @@ def _cmd_reads(args) -> int:
     return 0
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args, parser: argparse.ArgumentParser) -> int:
     if args.fasta:
         rec = _pick_record(read_fasta(args.fasta), args.record, args.fasta)
         table = count_kmers_sequence(rec.seq, args.k)
@@ -357,10 +354,10 @@ def _cmd_count(args) -> int:
 
 def _cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
     est = EstimatorId(args.estimator)
-    if args.mode is not None and est not in MODE_ESTIMATORS[Mode(args.mode)]:
-        regime = next(m.value for m in Mode if est in MODE_ESTIMATORS[m])
-        parser.error(f"--estimator {est.value} runs in {regime} mode, not {args.mode}")
-    takes_table = est in (EstimatorId.GENERAL_K, EstimatorId.LARGE_K_SEQ, EstimatorId.LARGE_K_READS)
+    regime = Mode.SEQ if est in READ_BASED else Mode.NONSEQ
+    if args.mode is not None and args.mode != regime.value:
+        parser.error(f"--estimator {est.value} runs in {regime.value} mode, not {args.mode}")
+    takes_table = est in KMER_BASED
     if takes_table and args.k is None and not args.x_table:
         parser.error(f"--estimator {est.value} requires -k or --x-table")
     if est is EstimatorId.LARGE_K_READS and args.s is None:
@@ -380,14 +377,12 @@ def _cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
         return _pick_record(read_fasta(path), args.record, path).seq
 
     x = load("x")
-    x_len = source_length(x)
     if takes_table:
         # count x before reading y: one side's reads in memory at a time
         x = as_table(x, args.k)
     y = load("y")
-    check_same_length(x_len, source_length(y))
     extras: dict = {}
-    if est in (EstimatorId.K1_SINGLE, EstimatorId.K1_READS):
+    if est in SINGLE_BASE:
         extras["base"] = args.base if args.base != "auto" else choose_k1_base(x)
     result = estimate(est, x, y, k=args.k, s=args.s, base=extras.get("base"), subset=args.subset)
     print(json.dumps(_result_to_dict(result, extras), indent=2))
@@ -414,34 +409,29 @@ def _result_to_dict(result: EstimateResult, extras: dict) -> dict:
     return out
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args, parser: argparse.ArgumentParser) -> int:
     if args.bound == "hoeffding":
         value = bounds_mod.hoeffding_tail(args.t, args.width, args.n)
     elif args.bound == "mcdiarmid":
         value = bounds_mod.mcdiarmid_tail(args.t, args.diff, args.n)
     elif args.bound == "min-deviation":
         value = bounds_mod.min_deviation_sequence(args.rate, args.eps, args.length)
-    elif args.bound == "required-deviation":
-        budgets = (
-            bounds_mod.equal_budgets(args.delta)
-            if args.delta is not None
-            else bounds_mod.Budgets(*args.budgets)
-        )
-        params = bounds_mod.ReadBoundParams(
-            seq_len=args.length,
-            num_reads=args.num_reads,
-            rate=args.rate,
-            error_rate=args.s,
-            rel_tol=args.eps,
-        )
-        value = bounds_mod.required_deviation_reads(params, budgets)
-    else:  # success
-        budgets = (
-            bounds_mod.equal_budgets(args.delta)
-            if args.delta is not None
-            else bounds_mod.Budgets(*args.budgets)
-        )
-        value = bounds_mod.success_probability(budgets)
+    else:
+        if args.delta is not None:
+            budgets = bounds_mod.equal_budgets(args.delta)
+        else:
+            budgets = bounds_mod.Budgets(*args.budgets)
+        if args.bound == "success":
+            value = bounds_mod.success_probability(budgets)
+        else:
+            params = bounds_mod.ReadBoundParams(
+                seq_len=args.length,
+                num_reads=args.num_reads,
+                rate=args.rate,
+                error_rate=args.s,
+                rel_tol=args.eps,
+            )
+            value = bounds_mod.required_deviation_reads(params, budgets)
     print(repr(value))
     return 0
 
@@ -484,29 +474,25 @@ def _cmd_experiment(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
+_COMMANDS = {
+    "gen": _cmd_gen,
+    "mutate": _cmd_mutate,
+    "reads": _cmd_reads,
+    "count": _cmd_count,
+    "estimate": _cmd_estimate,
+    "bounds": _cmd_bounds,
+    "experiment": _cmd_experiment,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "mutate":
-            return _cmd_mutate(args)
-        if args.command == "reads":
-            return _cmd_reads(args)
-        if args.command == "count":
-            return _cmd_count(args)
-        if args.command == "estimate":
-            return _cmd_estimate(args, parser)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args, parser)
-        parser.error(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args, parser)
     except (MutrateError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -45,7 +45,12 @@ class EstimatorId(str, Enum):
     LARGE_K_READS = "large-k-reads"
 
 
+# what each estimator consumes: the k-mer estimators take k-mer tables, the
+# read estimators read sets, and every estimator not read-based sequences
+KMER_BASED = frozenset({EstimatorId.GENERAL_K, EstimatorId.LARGE_K_SEQ, EstimatorId.LARGE_K_READS})
 READ_BASED = frozenset({EstimatorId.K1_READS, EstimatorId.LARGE_K_READS})
+# the estimators that count one nucleotide, the ``base``
+SINGLE_BASE = frozenset({EstimatorId.K1_SINGLE, EstimatorId.K1_READS})
 
 
 @dataclass(frozen=True)
@@ -243,7 +248,7 @@ class SubsetSpec:
             uniq = np.unique(packed)
             if uniq.size != packed.size:
                 raise ValueError("explicit subset contains duplicate k-mers")
-            present = source.counts_for(uniq) > 0
+            present = lookup(source.keys, source.counts, uniq) > 0
             if not np.all(present):
                 missing = [decode_kmer(int(v), source.k) for v in uniq[~present]]
                 raise ValueError(

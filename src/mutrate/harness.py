@@ -32,6 +32,7 @@ from .errors import MismatchedK, MutrateError
 from .estimators import (
     EstimateResult,
     EstimatorId,
+    KMER_BASED,
     READ_BASED,
     SubsetSpec,
     estimate_general_k,
@@ -60,14 +61,6 @@ SUMMARY_FORMAT = "mutrate-summary-v1"
 DEFAULT_COVERAGE = 30.0
 DEFAULT_READ_LEN = 1000
 
-_ERROR_CODES = {
-    "SingularDenominator": "singular-denominator",
-    "NoRootInRange": "no-root-in-range",
-    "EmptyRetainedSet": "empty-retained-set",
-    "MismatchedK": "mismatched-k",
-}
-
-
 class Mode(str, Enum):
     """Which data the estimators see: complete k-mer statistics of both
     sequences, or only noisy reads of both."""
@@ -76,12 +69,7 @@ class Mode(str, Enum):
     SEQ = "seq"
 
 
-MODE_ESTIMATORS = {
-    Mode.NONSEQ: frozenset(
-        {EstimatorId.K1_SINGLE, EstimatorId.K1_GC, EstimatorId.GENERAL_K, EstimatorId.LARGE_K_SEQ}
-    ),
-    Mode.SEQ: READ_BASED,
-}
+MODE_ESTIMATORS = {Mode.NONSEQ: frozenset(EstimatorId) - READ_BASED, Mode.SEQ: READ_BASED}
 
 
 def derive_seed(*parts) -> int:
@@ -121,20 +109,6 @@ def as_table(x: Data, k: int | None) -> KmerTable:
     return count_kmers_sequence(x, k)
 
 
-def source_length(d: Data) -> int | None:
-    """Bases of the sequence behind ``d``: a sequence's length, a read set's
-    G, or None for a k-mer table, which does not record it."""
-    if isinstance(d, ReadSet):
-        return d.source_len
-    return None if isinstance(d, KmerTable) else len(d)
-
-
-def check_same_length(x_len: int | None, y_len: int | None) -> None:
-    """Raise unless the two source lengths are equal or one is unknown."""
-    if None not in (x_len, y_len) and x_len != y_len:
-        raise MutrateError(f"x has {x_len} bases but y has {y_len}; a substitution keeps the length")
-
-
 def estimate(
     est: EstimatorId,
     x: Data,
@@ -147,41 +121,50 @@ def estimate(
 ) -> EstimateResult:
     """Run estimator ``est`` on the source ``x`` and the mutated ``y``.
 
-    k1-single and k1-gc take two sequences and k1-reads two read sets;
-    ``base`` is the nucleotide the single-base estimators count (None
-    picks it with :func:`choose_k1_base` on ``x``). The k-mer estimators
-    take a table, sequence or read set on each side: a table is used as
-    is and the others are counted at ``k``, which defaults to the source
-    table's k for the mutated side. ``s`` is the sequencer error rate of
-    large-k-reads and ``subset`` the general-k subset. Two sequences must
-    have the same length, two read sets the same G, and two sequence tables
-    the same total, because the substitution model keeps the length;
-    anything else is an error.
+    Each side is a sequence, read set or k-mer table, of a kind ``est``
+    takes: a k-mer estimator (``KMER_BASED``) takes tables, a read
+    estimator (``READ_BASED``) read sets, and any other estimator
+    sequences; another kind is a ValueError. ``base`` is the nucleotide the
+    single-base estimators count (None picks it with
+    :func:`choose_k1_base` on ``x``). A k-mer estimator uses a table as is
+    and counts the others at ``k``, which defaults to the source table's k
+    for the mutated side. ``s`` is the sequencer error rate of
+    large-k-reads and ``subset`` the general-k subset. x and y must have
+    the same G (a sequence's length, a read set's or a table's
+    ``source_len``) where both are known, because a substitution keeps the
+    length.
     """
-    check_same_length(source_length(x), source_length(y))
+    for side, d in (("x", x), ("y", y)):
+        if isinstance(d, KmerTable):
+            takes, kind = est in KMER_BASED, "a k-mer table"
+        elif isinstance(d, ReadSet):
+            takes, kind = est in READ_BASED, "a read set"
+        else:
+            takes, kind = est not in READ_BASED, "a sequence"
+        if not takes:
+            raise ValueError(f"{est.value} does not take {kind} as {side}")
+    x_len, y_len = (len(d) if isinstance(d, CircularSequence) else d.source_len for d in (x, y))
+    if None not in (x_len, y_len) and x_len != y_len:
+        raise MutrateError(f"x has {x_len} bases but y has {y_len}; a substitution keeps the length")
+    if est in KMER_BASED:
+        x_table = as_table(x, k)
+        y_table = as_table(y, x_table.k)
+        if est is EstimatorId.GENERAL_K:
+            return estimate_general_k(x_table, y_table, subset)
+        if est is EstimatorId.LARGE_K_SEQ:
+            return estimate_large_k_seq(x_table, y_table)
+        if s is None:
+            raise ValueError("large-k-reads needs the sequencer error rate s")
+        return estimate_large_k_reads(x_table, y_table, s)
     if est is EstimatorId.K1_GC:
         return estimate_k1_gc(x.gc_fraction(), y.gc_fraction())
-    if est in (EstimatorId.K1_SINGLE, EstimatorId.K1_READS):
-        code = encode_base(base or choose_k1_base(x))
-        f, f_prime = (int(np.count_nonzero(_codes(side) == code)) for side in (x, y))
-        if est is EstimatorId.K1_SINGLE:
-            return estimate_k1_single(f, f_prime, len(x))
-        if (x.num_reads, x.read_len) != (y.num_reads, y.read_len):
-            raise MutrateError("the single-base read estimator needs matching N and L on both sides")
-        return estimate_k1_reads(f, f_prime, x.num_reads, x.read_len)
-    x_table = as_table(x, k)
-    y_table = as_table(y, x_table.k)
-    if x_table.provenance == y_table.provenance == "sequence" and x_table.total != y_table.total:
-        raise MutrateError(
-            f"x's k-mer table totals {x_table.total} but y's {y_table.total}; a substitution keeps the length"
-        )
-    if est is EstimatorId.GENERAL_K:
-        return estimate_general_k(x_table, y_table, subset)
-    if est is EstimatorId.LARGE_K_SEQ:
-        return estimate_large_k_seq(x_table, y_table)
-    if s is None:
-        raise ValueError("large-k-reads needs the sequencer error rate s")
-    return estimate_large_k_reads(x_table, y_table, s)
+    code = encode_base(base or choose_k1_base(x))
+    f, f_prime = (int(np.count_nonzero(_codes(side) == code)) for side in (x, y))
+    if est is EstimatorId.K1_SINGLE:
+        return estimate_k1_single(f, f_prime, len(x))
+    if (x.num_reads, x.read_len) != (y.num_reads, y.read_len):
+        raise MutrateError("the single-base read estimator needs matching N and L on both sides")
+    return estimate_k1_reads(f, f_prime, x.num_reads, x.read_len)
 
 
 @dataclass(frozen=True)
@@ -481,7 +464,7 @@ def _estimate_trial(
         y_n = read_count(y_cov, g, y_len)
         x = sample_reads(x, config.read_len, n, channel, seeds.seed(*trial_key, "xreads"))
         y = sample_reads(y, y_len, y_n, channel, seeds.seed(*trial_key, "yreads"))
-    elif gp.estimator in (EstimatorId.GENERAL_K, EstimatorId.LARGE_K_SEQ):
+    elif gp.estimator in KMER_BASED:
         x = ref.table(gp.k)
     return estimate(gp.estimator, x, y, k=gp.k, s=gp.s, base=ref.base, subset=config.subset)
 
@@ -511,7 +494,7 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
                 nan = float("nan")
                 outcome = dict(
                     p_raw=nan, p_clamped=nan, rel_error=nan,
-                    error=_ERROR_CODES.get(type(exc).__name__, "estimator-error"),
+                    error=exc.code,
                 )
             else:
                 d = res.diagnostics

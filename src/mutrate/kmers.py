@@ -15,12 +15,10 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import MismatchedK
-from .model import ALPHABET, CircularSequence, ReadSet
+from .model import CircularSequence, ReadSet, codes_to_string, string_to_codes
 
 MAX_K = 32
 _INT64_MAX = 2**63 - 1
-
-_BYTE_TO_CODE = {ch: i for i, ch in enumerate(ALPHABET)}
 
 
 def _check_k(k: int) -> None:
@@ -28,16 +26,15 @@ def _check_k(k: int) -> None:
         raise ValueError(f"k must be in 1..{MAX_K}, got {k}")
 
 
+def _shifts(k: int) -> np.ndarray:
+    """Bit offset of each of the k symbols, leftmost highest."""
+    return np.arange(2 * (k - 1), -1, -2, dtype=np.uint64)
+
+
 def encode_kmer(kmer: str) -> int:
     """Pack a k-mer string into its 2-bit integer code."""
     _check_k(len(kmer))
-    val = 0
-    for ch in kmer:
-        code = _BYTE_TO_CODE.get(ch.upper())
-        if code is None:
-            raise ValueError(f"invalid nucleotide {ch!r} in k-mer {kmer!r}")
-        val = (val << 2) | code
-    return val
+    return int(np.bitwise_or.reduce(string_to_codes(kmer).astype(np.uint64) << _shifts(len(kmer))))
 
 
 def decode_kmer(value: int, k: int) -> str:
@@ -45,10 +42,7 @@ def decode_kmer(value: int, k: int) -> str:
     _check_k(k)
     if not 0 <= value < 4**k:
         raise ValueError(f"packed value {value} out of range for k={k}")
-    out = []
-    for shift in range(2 * (k - 1), -1, -2):
-        out.append(ALPHABET[(value >> shift) & 3])
-    return "".join(out)
+    return codes_to_string((np.uint64(value) >> _shifts(k)) & np.uint64(3))
 
 
 _ODD_MASK = np.uint64(0x5555555555555555)
@@ -117,13 +111,16 @@ class KmerTable:
 
     ``provenance`` records whether counts came from a full sequence or from
     reads; it only gates which estimators accept the table and how files are
-    labeled.
+    labeled. ``source_len`` is G, the length of the sequence behind the
+    counts: a sequence table's total, a read table's from its reads, or None
+    when a read table does not record it.
     """
 
     k: int
     keys: np.ndarray
     counts: np.ndarray
     provenance: str = "sequence"
+    source_len: int | None = None
 
     def __post_init__(self):
         _check_k(self.k)
@@ -152,6 +149,13 @@ class KmerTable:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "counts", counts)
+        if self.provenance == "sequence":
+            total = self.total
+            if self.source_len not in (None, total):
+                raise ValueError(f"a sequence table's G is its total {total}, got G={self.source_len}")
+            object.__setattr__(self, "source_len", total)
+        elif self.source_len is not None and self.source_len < 1:
+            raise ValueError(f"a read table's G must be >= 1, got {self.source_len}")
 
     @classmethod
     def from_mapping(cls, k: int, mapping: Mapping[str, int], provenance: str = "sequence") -> "KmerTable":
@@ -181,23 +185,10 @@ class KmerTable:
     def distinct(self) -> int:
         return int(self.keys.size)
 
-    def count(self, kmer: str) -> int:
-        """Count of one k-mer (zero when absent)."""
-        if len(kmer) != self.k:
-            raise MismatchedK(f"query length {len(kmer)} vs table k={self.k}")
-        return int(self.counts_for(encode_kmer(kmer)))
-
-    def counts_for(self, packed: np.ndarray) -> np.ndarray:
-        """Vectorized lookup; zeros for absent keys."""
-        return lookup(self.keys, self.counts, packed)
-
     def items(self) -> Iterator[tuple[str, int]]:
         """(k-mer string, count) pairs in packed-key order."""
         for key, c in zip(self.keys.tolist(), self.counts.tolist()):
             yield decode_kmer(key, self.k), int(c)
-
-    def to_dict(self) -> dict[str, int]:
-        return dict(self.items())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KmerTable):
@@ -205,6 +196,7 @@ class KmerTable:
         return (
             self.k == other.k
             and self.provenance == other.provenance
+            and self.source_len == other.source_len
             and np.array_equal(self.keys, other.keys)
             and np.array_equal(self.counts, other.counts)
         )
@@ -225,12 +217,14 @@ def count_kmers_reads(reads: ReadSet, k: int) -> KmerTable:
     """Counts pooled over the linear windows of every read.
 
     Each read of length L contributes L - k + 1 windows; reads do not wrap.
-    Total is N * (L - k + 1).
+    Total is N * (L - k + 1), and ``source_len`` is the reads' G.
     """
     _check_k(k)
     if reads.num_reads == 0:
-        return KmerTable(k, np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64), provenance="reads")
-    return KmerTable(k, *_tally(_pack_read_windows(reads.matrix, k)), provenance="reads")
+        keys, counts = np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
+    else:
+        keys, counts = _tally(_pack_read_windows(reads.matrix, k))
+    return KmerTable(k, keys, counts, "reads", reads.source_len)
 
 
 def expected_kmer_count(

@@ -65,8 +65,9 @@ class CircularSequence:
 
 def string_to_codes(text: str) -> np.ndarray:
     """uint8 codes for an ACGT string (case-insensitive); 1-based position
-    in the error when a symbol is not a nucleotide."""
-    raw = np.frombuffer(text.encode("ascii", errors="strict"), dtype=np.uint8)
+    in the error when a symbol is not a nucleotide. Each non-ASCII character
+    encodes as one invalid byte, so byte offsets are character offsets."""
+    raw = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
     codes = _BYTE_TO_CODE[raw]
     if codes.size and codes.max() == 255:
         pos = int(np.argmax(codes == 255))

@@ -168,9 +168,12 @@ _POW10 = 10 ** np.arange(_MAX_COUNT_DIGITS, dtype=np.uint64)
 
 
 def write_kmer_table(path: str | Path, table: KmerTable) -> None:
-    """One header line ``#k=<k>\\t#total=<total>\\t#provenance=<...>``, then
+    """One header line ``#k=<k>\\t#total=<total>\\t#provenance=<...>``, with
+    ``\\t#G=<G>`` after it for a read table that records G, then
     tab-separated (k-mer, count) rows in packed-key order."""
-    header = f"#k={table.k}\t#total={table.total}\t#provenance={table.provenance}\n"
+    record_g = table.provenance == "reads" and table.source_len is not None
+    g = f"\t#G={table.source_len}" if record_g else ""
+    header = f"#k={table.k}\t#total={table.total}\t#provenance={table.provenance}{g}\n"
     with Path(path).open("wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(_format_table_rows(table.k, table.keys, table.counts))
@@ -211,25 +214,31 @@ def _header_ints(values: list[str], names: str, where: str) -> list[int]:
     raise ValueError(f"{where}: {names} must be unsigned decimal integers")
 
 
-def _table_header(line: str, where: str) -> tuple[int, int, str]:
-    k, total, provenance = _parse_header(line, ("k", "total", "provenance"), where)
-    k, total = _header_ints([k, total], "k and total", where)
+def _table_header(line: str, where: str) -> tuple[int, int, str, int | None]:
+    """k, total, provenance and G, which is None when the optional ``#G`` is absent."""
+    keys = ("k", "total", "provenance", "G")[: 4 if line.count("\t") == 3 else 3]
+    k, total, provenance, *g = _parse_header(line, keys, where)
+    k, total, *g = _header_ints([k, total, *g], "k, total and G" if g else "k and total", where)
     if provenance not in ("sequence", "reads"):
         raise ValueError(f"{where}: provenance must be 'sequence' or 'reads', got {provenance!r}")
     if not 1 <= k <= MAX_K:
         raise ValueError(f"{where}: k must be in 1..{MAX_K}, got {k}")
-    return k, total, provenance
+    g = g[0] if g else None
+    if provenance == "sequence" and g not in (None, total):
+        raise ValueError(f"{where}: a sequence table's G is its total {total}, got G={g}")
+    return k, total, provenance, g
 
 
 def read_kmer_table(path: str | Path) -> KmerTable:
     """Inverse of :func:`write_kmer_table`.
 
     A row is k symbols of ``ACGTacgt``, a tab and a count of 1-19 decimal
-    digits from 1 to 2^63 - 1. Errors name the file and the first bad line.
+    digits from 1 to 2^63 - 1. A header without ``#G`` leaves a read
+    table's G unknown. Errors name the file and the first bad line.
     """
     path = Path(path)
     header, _, raw, starts, ends = _split_rows(path, path.read_bytes())
-    k, total, provenance = _table_header(header, str(path))
+    k, total, provenance, g = _table_header(header, str(path))
     # rows before the first of a bad width can be read column by column
     ndigits = ends - starts - (k + 1)
     n = _first((ndigits < 1) | (ndigits > _MAX_COUNT_DIGITS), starts.size)
@@ -265,8 +274,9 @@ def read_kmer_table(path: str | Path) -> KmerTable:
             earlier = _line(raw, starts[np.argmax(keys == keys[again])])
             raise ValueError(f"{path}, line {_line(raw, starts[again])}: k-mer {kmer!r} repeats line {earlier}")
     try:
-        table = KmerTable(k, keys, counts.view(np.int64), provenance)
-    except ValueError as exc:  # counts that sum past int64
+        # a sequence table's G is its total, which the header check ties to #G
+        table = KmerTable(k, keys, counts.view(np.int64), provenance, None if provenance == "sequence" else g)
+    except ValueError as exc:  # counts that sum past int64, or a read table's G below 1
         raise ValueError(f"{path}: {exc}") from None
     if table.total != total:
         raise ValueError(f"{path}: header total {total} but rows sum to {table.total}")

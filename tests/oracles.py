@@ -31,6 +31,16 @@ def linear_kmer_counts(seq: str, k: int) -> dict[str, int]:
     return counts
 
 
+def table_counts(table) -> dict[str, int]:
+    """{k-mer: count} of a k-mer table, each packed key decoded two bits at
+    a time, leftmost symbol highest."""
+    k = table.k
+    return {
+        "".join(ALPHABET[(key >> 2 * (k - 1 - j)) & 3] for j in range(k)): count
+        for key, count in zip(table.keys.tolist(), table.counts.tolist())
+    }
+
+
 def hamming(a: str, b: str) -> int:
     assert len(a) == len(b)
     return sum(x != y for x, y in zip(a, b))
@@ -192,19 +202,27 @@ def _header_values(line: str, keys: tuple[str, ...], path) -> list[str]:
     return values
 
 
-def kmer_table_rows(path) -> tuple[int, str, list[tuple[str, int]]]:
-    """(k, provenance, (uppercase k-mer, count) rows in k-mer order) of a
-    k-mer table file, checked one line at a time. Raises ValueError with
-    read_kmer_table's message."""
+def kmer_table_rows(path) -> tuple[int, str, int | None, list[tuple[str, int]]]:
+    """(k, provenance, G, (uppercase k-mer, count) rows in k-mer order) of a
+    k-mer table file, checked one line at a time; G is the total for a
+    sequence table and the optional ``#G`` field, or None, for a read table.
+    Raises ValueError with read_kmer_table's message."""
     header, *rows = _ascii_lines(path)
-    k, total, provenance = _header_values(header, ("k", "total", "provenance"), path)
-    if not (_digits(k) and _digits(total)):
-        raise ValueError(f"{path}: k and total must be unsigned decimal integers")
+    keys = ("k", "total", "provenance")
+    if len(header.split("\t")) == 4:
+        keys += ("G",)
+    k, total, provenance, *g = _header_values(header, keys, path)
+    if not all(_digits(v) for v in (k, total, *g)):
+        names = "k, total and G" if g else "k and total"
+        raise ValueError(f"{path}: {names} must be unsigned decimal integers")
     k, total = int(k), int(total)
     if provenance not in ("sequence", "reads"):
         raise ValueError(f"{path}: provenance must be 'sequence' or 'reads', got {provenance!r}")
     if not 1 <= k <= 32:
         raise ValueError(f"{path}: k must be in 1..32, got {k}")
+    g = int(g[0]) if g else None
+    if provenance == "sequence" and g not in (None, total):
+        raise ValueError(f"{path}: a sequence table's G is its total {total}, got G={g}")
     counts: dict[str, int] = {}
     first_line: dict[str, int] = {}
     for lineno, line in enumerate(rows, start=2):
@@ -235,9 +253,11 @@ def kmer_table_rows(path) -> tuple[int, str, list[tuple[str, int]]]:
         counts[kmer.upper()] = count
     if sum(counts.values()) >= 2**63:
         raise ValueError(f"{path}: counts sum to {sum(counts.values())}, past int64")
+    if provenance == "reads" and g == 0:
+        raise ValueError(f"{path}: a read table's G must be >= 1, got 0")
     if sum(counts.values()) != total:
         raise ValueError(f"{path}: header total {total} but rows sum to {sum(counts.values())}")
-    return k, provenance, sorted(counts.items())
+    return k, provenance, total if provenance == "sequence" else g, sorted(counts.items())
 
 
 def reads_rows(path) -> tuple[list[str], int]:

@@ -161,3 +161,37 @@ class TestRequiredDeviation:
             std_params(rel_tol=0.0)
         with pytest.raises(ValueError):
             std_params(num_reads=0)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+class TestNonFiniteRejected:
+    """A check of the form ``x <= 0`` is False for NaN, so each argument is
+    held to a comparison that NaN fails; these returned nan, 1.0 or 0.0."""
+
+    @pytest.mark.parametrize("arg", ["rate", "rel_tol", "seq_len"])
+    def test_min_deviation_sequence(self, value, arg):
+        with pytest.raises(ValueError):
+            min_deviation_sequence(**{"rate": 0.1, "rel_tol": 0.1, "seq_len": 1e4, arg: value})
+
+    @pytest.mark.parametrize("tail", [hoeffding_tail, mcdiarmid_tail])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            lambda v: (v, 1.0, 10),  # t
+            lambda v: (1.0, v, 10),  # one width for every term
+            lambda v: (1.0, [1.0, v]),  # a width per term
+            lambda v: (1.0, 1.0, v),  # n
+        ],
+        ids=["t", "scalar-width", "width-entry", "n"],
+    )
+    def test_tails(self, value, tail, args):
+        with pytest.raises(ValueError):
+            tail(*args(value))
+
+    @pytest.mark.parametrize("arg", ["seq_len", "num_reads", "rate", "error_rate", "rel_tol"])
+    def test_read_bound_params(self, value, arg):
+        with pytest.raises(ValueError):
+            std_params(**{arg: value})

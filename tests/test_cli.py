@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import oracles
 from mutrate.cli import main
 from mutrate.estimators import estimate_large_k_reads
 from mutrate.kmers import count_kmers_reads
@@ -135,7 +136,7 @@ class TestCount:
         code, _, _ = run(capsys, "count", "--fasta", str(x), "-k", "2", "--out", str(t))
         assert code == 0
         table = read_kmer_table(t)
-        assert table.to_dict() == {"AA": 4}
+        assert oracles.table_counts(table) == {"AA": 4}
         assert table.provenance == "sequence"
 
     def test_count_reads(self, tmp_path, capsys):
@@ -308,7 +309,7 @@ class TestEstimate:
         code, out, err = run(capsys, "estimate", "--estimator", "large-k-seq", "--x", str(x),
                              "--y-table", str(yt), "-k", "20")
         assert code == 1 and not out
-        assert err.startswith("error:") and "totals 20000 but y's 0" in err
+        assert err.startswith("error:") and "x has 20000 bases but y has 0; a substitution keeps the length" in err
 
     def test_empty_y_reads_exits_one(self, skewed_pair, tmp_path, capsys):
         # an empty mutated read set gave large-k-reads p_raw 1.0 and exit 0
@@ -335,6 +336,25 @@ class TestEstimate:
         code, out, err = run(capsys, "estimate", "--estimator", est, "--x-reads", str(xr), "--y-reads", str(yr), *flags)
         assert code == 1 and not out
         assert err.startswith("error:") and "20000" in err and "30000" in err
+
+    @pytest.mark.parametrize("y_form", ["reads", "table"])
+    def test_read_table_of_another_source_exits_one(self, skewed_pair, tmp_path, capsys, y_form):
+        # a read table of the 20000-base x against reads of an unrelated
+        # 30000-base sequence printed large-k-reads p_raw 1.0 with exit 0,
+        # because the table did not record G
+        x, _ = skewed_pair
+        longer = tmp_path / "long.fa"
+        run(capsys, "gen", "--length", "30000", "--dist", "0.4,0.2,0.2,0.2", "--seed", "9", "--out", str(longer))
+        paths = {}
+        for side, src, seed in (("x", x, "1"), ("y", longer, "2")):
+            paths[side, "reads"], paths[side, "table"] = tmp_path / f"{side}.reads", tmp_path / f"{side}.tsv"
+            run(capsys, "reads", "--in", str(src), "--read-len", "500", "--coverage", "5",
+                "--seed", seed, "--out", str(paths[side, "reads"]))
+            run(capsys, "count", "--reads", str(paths[side, "reads"]), "-k", "20", "--out", str(paths[side, "table"]))
+        code, out, err = run(capsys, "estimate", "--estimator", "large-k-reads", "-k", "20", "--s", "0.01",
+                             "--x-table", str(paths["x", "table"]), f"--y-{y_form}", str(paths["y", y_form]))
+        assert code == 1 and not out
+        assert err.startswith("error:") and "x has 20000 bases but y has 30000" in err
 
     @pytest.mark.parametrize("kmer", ["AC", "AACG"])
     def test_explicit_subset_of_wrong_length_exits_one(self, skewed_pair, capsys, kmer):

@@ -4,7 +4,15 @@ import re
 import numpy as np
 import pytest
 
-from mutrate.errors import MismatchedK, MutrateError
+from mutrate import harness
+from mutrate.errors import (
+    EmptyRetainedSet,
+    FastaParseError,
+    MismatchedK,
+    MutrateError,
+    NoRootInRange,
+    SingularDenominator,
+)
 from mutrate.estimators import EstimatorId, SubsetSpec
 from mutrate.harness import (
     BoxStats,
@@ -25,7 +33,7 @@ from mutrate.harness import (
     write_summary_json,
     write_trials_csv,
 )
-from mutrate.kmers import count_kmers_sequence
+from mutrate.kmers import KmerTable, count_kmers_reads, count_kmers_sequence
 from mutrate.model import (
     CircularSequence,
     ReadSet,
@@ -584,8 +592,79 @@ class TestEstimateDispatch:
         with pytest.raises(MutrateError, match="x has 4000 bases but y has 3000"):
             estimate(est, xr, yr, k=10, s=0.0, base="A")
 
+    def test_read_tables_of_different_sources_rejected(self, pair):
+        # a read table records G, so tables of different G are no pair
+        # either; large-k-reads used to give a rate for these
+        x, y = pair
+        xr = sample_reads(x, 100, 40, SubstitutionChannel(0.0), rng_seed=3)
+        yr = sample_reads(CircularSequence(y.codes[:3000]), 100, 40, SubstitutionChannel(0.0), rng_seed=4)
+        xt, yt = count_kmers_reads(xr, 10), count_kmers_reads(yr, 10)
+        assert (xt.source_len, yt.source_len) == (4000, 3000)
+        for sides in ((xt, yt), (xt, yr), (xr, yt)):
+            with pytest.raises(MutrateError, match="x has 4000 bases but y has 3000"):
+                estimate(EstimatorId.LARGE_K_READS, *sides, k=10, s=0.0)
+
+    def test_read_table_without_g_is_not_checked(self, pair):
+        # a read table file written without #G leaves G unknown
+        x, y = pair
+        xr = sample_reads(x, 100, 400, SubstitutionChannel(0.0), rng_seed=3)
+        yr = sample_reads(CircularSequence(y.codes[:3000]), 100, 300, SubstitutionChannel(0.0), rng_seed=4)
+        xt = count_kmers_reads(xr, 10)
+        unknown = KmerTable(10, xt.keys, xt.counts, "reads")
+        assert unknown.source_len is None
+        estimate(EstimatorId.LARGE_K_READS, unknown, yr, s=0.0)
+
+    _KINDS = {
+        "a sequence": lambda x: x,
+        "a read set": lambda x: sample_reads(x, 100, 40, SubstitutionChannel(0.0), rng_seed=3),
+        "a k-mer table": lambda x: count_kmers_sequence(x, 10),
+    }
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    @pytest.mark.parametrize(
+        "est, taken, wrong",
+        [
+            (EstimatorId.K1_SINGLE, "a sequence", "a read set"),
+            (EstimatorId.K1_SINGLE, "a sequence", "a k-mer table"),
+            (EstimatorId.K1_GC, "a sequence", "a read set"),
+            (EstimatorId.K1_GC, "a sequence", "a k-mer table"),
+            (EstimatorId.GENERAL_K, "a sequence", "a read set"),
+            (EstimatorId.LARGE_K_SEQ, "a sequence", "a read set"),
+            (EstimatorId.K1_READS, "a read set", "a sequence"),
+            (EstimatorId.K1_READS, "a read set", "a k-mer table"),
+            (EstimatorId.LARGE_K_READS, "a read set", "a sequence"),
+        ],
+    )
+    def test_data_kind_not_taken_rejected(self, pair, est, taken, wrong, side):
+        # these ended in an AttributeError or TypeError, or a provenance
+        # error after counting
+        x, _ = pair
+        data = {"x": self._KINDS[taken](x), "y": self._KINDS[taken](x), side: self._KINDS[wrong](x)}
+        with pytest.raises(ValueError, match=f"^{est.value} does not take {wrong} as {side}$"):
+            estimate(est, data["x"], data["y"], k=10, s=0.0, base="A")
+
     def test_large_k_reads_needs_s(self, pair):
         x, y = pair
         xr = sample_reads(x, 100, 40, SubstitutionChannel(0.0), rng_seed=3)
         with pytest.raises(ValueError, match="error rate"):
             estimate(EstimatorId.LARGE_K_READS, xr, xr, k=10)
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (SingularDenominator, "singular-denominator"),
+        (NoRootInRange, "no-root-in-range"),
+        (EmptyRetainedSet, "empty-retained-set"),
+        (MismatchedK, "mismatched-k"),
+        (FastaParseError, "estimator-error"),
+        (MutrateError, "estimator-error"),
+    ],
+)
+def test_error_code_comes_from_the_exception_class(monkeypatch, exc, code):
+    def fail(*args):
+        raise exc("no rate")
+
+    monkeypatch.setattr(harness, "estimate_k1_single", fail)
+    cfg = ExperimentConfig(IidSource(200, SKEWED), Mode.NONSEQ, (EstimatorId.K1_SINGLE,), (0.1,), 2, 1)
+    assert [r.error for r in run_experiment(cfg)] == [code, code]

@@ -148,6 +148,49 @@ class TestKmerTableIO:
         assert back.provenance == "reads"
         assert back == t
 
+    def test_read_table_records_g(self, tmp_path):
+        x = generate_iid_sequence(100, (0.25, 0.25, 0.25, 0.25), rng_seed=2)
+        t = count_kmers_reads(sample_reads(x, 20, 10, SubstitutionChannel(0.01), rng_seed=3), 4)
+        path = tmp_path / "t.tsv"
+        write_kmer_table(path, t)
+        assert path.read_text().split("\n")[0] == "#k=4\t#total=170\t#provenance=reads\t#G=100"
+        back = read_kmer_table(path)
+        assert back.source_len == t.source_len == 100
+        assert back == t
+
+    @pytest.mark.parametrize(
+        "header, g",
+        [
+            ("#k=2\t#total=5\t#provenance=reads", None),
+            ("#k=2\t#total=5\t#provenance=reads\t#G=40", 40),
+            ("#k=2\t#total=5\t#provenance=sequence", 5),
+            ("#k=2\t#total=5\t#provenance=sequence\t#G=5", 5),
+        ],
+    )
+    def test_g_is_optional(self, tmp_path, header, g):
+        path = tmp_path / "t.tsv"
+        path.write_text(f"{header}\nAC\t2\nGT\t3\n")
+        assert read_kmer_table(path).source_len == g
+        assert _table_value(path) == oracles.kmer_table_rows(path)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("#k=2\t#total=5\t#provenance=sequence\t#G=6", ": a sequence table's G is its total 5, got G=6"),
+            ("#k=2\t#total=5\t#provenance=sequence\t#G=0", ": a sequence table's G is its total 5, got G=0"),
+            ("#k=2\t#total=5\t#provenance=reads\t#G=0", ": a read table's G must be >= 1, got 0"),
+            ("#k=2\t#total=5\t#provenance=reads\t#G=+4", "k, total and G must be unsigned decimal integers"),
+            ("#k=2\t#total=5\t#provenance=reads\t#L=4", "expected header field #G=<value>, got '#L=4'"),
+            ("#k=2\t#total=5\t#provenance=reads\t#G=4\t#G=4", "header must have fields"),
+        ],
+    )
+    def test_bad_g_rejected(self, tmp_path, header, message):
+        path = tmp_path / "t.tsv"
+        path.write_text(f"{header}\nAC\t2\nGT\t3\n")
+        with pytest.raises(ValueError, match=message):
+            read_kmer_table(path)
+        _assert_same_outcome(path, _table_value, oracles.kmer_table_rows)
+
     def test_total_mismatch_detected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("#k=2\t#total=5\t#provenance=sequence\nAC\t3\n")
@@ -170,7 +213,8 @@ class TestKmerTableIO:
 def _row_format(table: KmerTable) -> bytes:
     """The file as formatted one row at a time; the array writer must
     reproduce it byte for byte."""
-    header = f"#k={table.k}\t#total={table.total}\t#provenance={table.provenance}\n"
+    g = f"\t#G={table.source_len}" if table.provenance == "reads" and table.source_len is not None else ""
+    header = f"#k={table.k}\t#total={table.total}\t#provenance={table.provenance}{g}\n"
     return (header + "".join(f"{kmer}\t{c}\n" for kmer, c in table.items())).encode()
 
 
@@ -180,7 +224,8 @@ def kmer_tables(draw):
     keys = draw(st.lists(st.integers(0, 4**k - 1), max_size=30, unique=True))
     counts = draw(st.lists(st.integers(1, 10**13 - 1), min_size=len(keys), max_size=len(keys)))
     provenance = draw(st.sampled_from(["sequence", "reads"]))
-    return KmerTable(k, np.array(keys, dtype=np.uint64), np.array(counts, dtype=np.int64), provenance)
+    g = draw(st.none() | st.integers(1, 10**12)) if provenance == "reads" else None
+    return KmerTable(k, np.array(keys, dtype=np.uint64), np.array(counts, dtype=np.int64), provenance, g)
 
 
 def _edits(inserts: list[str]):
@@ -212,7 +257,7 @@ def _assert_same_outcome(path, read, oracle) -> None:
 
 def _table_value(path):
     table = read_kmer_table(path)
-    return table.k, table.provenance, list(table.items())
+    return table.k, table.provenance, table.source_len, list(table.items())
 
 
 def _reads_value(path):

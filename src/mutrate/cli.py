@@ -35,6 +35,7 @@ from .estimators import (  # noqa: F401
 from .harness import (
     DEFAULT_COVERAGE,
     DEFAULT_READ_LEN,
+    Data,
     ExperimentConfig,
     FastaSource,
     IidSource,
@@ -49,7 +50,7 @@ from .harness import (
     write_summary_json,
     write_trials_csv,
 )
-from .kmers import count_kmers_reads, count_kmers_sequence
+from .kmers import KmerTable, count_kmers_reads, count_kmers_sequence
 from .model import (
     ALPHABET,
     SubstitutionChannel,
@@ -209,12 +210,9 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=[e.value for e in EstimatorId],
     )
-    p.add_argument("--x", help="source FASTA")
-    p.add_argument("--y", help="mutated FASTA")
-    p.add_argument("--x-reads", help="reads of the source")
-    p.add_argument("--y-reads", help="reads of the mutated copy")
-    p.add_argument("--x-table", help="source k-mer table")
-    p.add_argument("--y-table", help="mutated k-mer table")
+    kinds = "FASTA, reads file or k-mer table, told apart by its header"
+    p.add_argument("--x", "--x-reads", "--x-table", dest="x", required=True, help=f"source: {kinds}")
+    p.add_argument("--y", "--y-reads", "--y-table", dest="y", required=True, help=f"mutated copy: {kinds}")
     p.add_argument("--record", type=_sci_int, default=None)
     p.add_argument("-k", type=_sci_int, default=None, help="k when counting from FASTA/reads")
     p.add_argument("--base", type=_base, default="auto", help="nucleotide for the single-base estimators")
@@ -352,37 +350,34 @@ def _cmd_count(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
+def _load(path: str, record: int | None) -> Data:
+    """The k-mer table, read set or sequence in ``path``, by the file's
+    first bytes: ``#k=`` a table, ``#L=`` a reads file, anything else FASTA."""
+    with open(path, "rb") as fh:
+        head = fh.read(3)
+    if head == b"#k=":
+        return read_kmer_table(path)
+    if head == b"#L=":
+        return read_reads(path)
+    return _pick_record(read_fasta(path), record, path).seq
+
+
 def _cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
     est = EstimatorId(args.estimator)
     regime = Mode.SEQ if est in READ_BASED else Mode.NONSEQ
     if args.mode is not None and args.mode != regime.value:
         parser.error(f"--estimator {est.value} runs in {regime.value} mode, not {args.mode}")
-    takes_table = est in KMER_BASED
-    if takes_table and args.k is None and not args.x_table:
-        parser.error(f"--estimator {est.value} requires -k or --x-table")
     if est is EstimatorId.LARGE_K_READS and args.s is None:
         parser.error("--estimator large-k-reads requires --s (sequencer error rate)")
-
-    def load(side: str):
-        table = getattr(args, f"{side}_table") if takes_table else None
-        if table:
-            return read_kmer_table(table)
-        flag = f"--{side}-reads" if est in READ_BASED else f"--{side}"
-        path = getattr(args, flag[2:].replace("-", "_"))
-        if path is None:
-            alt = f" or --{side}-table" if takes_table else ""
-            parser.error(f"--estimator {est.value} requires {flag}{alt}")
-        if est in READ_BASED:
-            return read_reads(path)
-        return _pick_record(read_fasta(path), args.record, path).seq
-
-    x = load("x")
-    if takes_table:
+    x = _load(args.x, args.record)
+    if est in KMER_BASED:
+        if args.k is None and not isinstance(x, KmerTable):
+            parser.error(f"--estimator {est.value} requires -k or a k-mer table as --x")
         # count x before reading y: one side's reads in memory at a time
         x = as_table(x, args.k)
-    y = load("y")
+    y = _load(args.y, args.record)
     extras: dict = {}
-    if est in SINGLE_BASE:
+    if est in SINGLE_BASE and not isinstance(x, KmerTable):  # estimate rejects a table
         extras["base"] = args.base if args.base != "auto" else choose_k1_base(x)
     result = estimate(est, x, y, k=args.k, s=args.s, base=extras.get("base"), subset=args.subset)
     print(json.dumps(_result_to_dict(result, extras), indent=2))

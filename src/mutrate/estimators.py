@@ -63,76 +63,77 @@ class Diagnostics:
     multiple_roots: bool = False
 
 
+_FALLBACK_WARNING = "count threshold fell back to 1; sequencer noise is not being filtered"
+_ROOTS_WARNING = "moment equation has more than one root on [0, 0.75]; reporting the smallest"
+
+
 @dataclass(frozen=True)
 class EstimateResult:
     estimator: EstimatorId
     p_raw: float
     p_clamped: float
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
-    warnings: tuple[str, ...] = ()
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """The diagnostics that make the estimate suspect, as sentences."""
+        d = self.diagnostics
+        flagged = ((d.lambda_fallback, _FALLBACK_WARNING), (d.multiple_roots, _ROOTS_WARNING))
+        return tuple(text for flag, text in flagged if flag)
 
 
 def _result(
-    estimator: EstimatorId,
-    p_raw: float,
-    diagnostics: Diagnostics | None = None,
-    warnings: Sequence[str] = (),
+    estimator: EstimatorId, p_raw: float, diagnostics: Diagnostics = Diagnostics()
 ) -> EstimateResult:
     p_raw = float(p_raw)
-    return EstimateResult(
-        estimator=estimator,
-        p_raw=p_raw,
-        p_clamped=min(1.0, max(0.0, p_raw)),
-        diagnostics=diagnostics if diagnostics is not None else Diagnostics(),
-        warnings=tuple(warnings),
-    )
+    return EstimateResult(estimator, p_raw, min(1.0, max(0.0, p_raw)), diagnostics)
 
 
 # ---------------------------------------------------------------------------
 # closed-form k=1 estimators
 
 
+def _class_rate(
+    est: EstimatorId, f: float, f_prime: float, volume: float, width: int, singular: str
+) -> EstimateResult:
+    """Rate from the count of a class of ``width`` of the four bases before
+    (``f``) and after (``f_prime``) mutation, over ``volume`` symbols.
+
+    Solves f' = f + (p/3)(width * volume - 4f) for p. ``singular`` is the
+    message when the denominator is zero and the count does not move with
+    the rate.
+    """
+    for side, v in (("source", f), ("mutated", f_prime)):
+        if not 0 <= v <= volume:
+            raise ValueError(f"{side} count {v} outside [0, {volume}]")
+    den = width * volume - 4.0 * f
+    if den == 0.0:
+        raise SingularDenominator(singular)
+    return _result(est, 3.0 * (f_prime - f) / den)
+
+
 def estimate_k1_single(f_base: float, f_prime_base: float, total_len: float) -> EstimateResult:
     """Rate from one nucleotide's count before (``f_base``) and after
     (``f_prime_base``) mutation, on a sequence of ``total_len`` symbols.
-
-    Solves f' = f(1-p) + (G-f)p/3 for p. Undefined when the base occupies
-    exactly a quarter of the sequence (the count is then rate-invariant).
-    """
+    Undefined when the base occupies exactly a quarter of the sequence."""
     if total_len <= 0:
         raise ValueError(f"total length must be positive, got {total_len}")
-    if not 0 <= f_base <= total_len:
-        raise ValueError(f"source count {f_base} outside [0, {total_len}]")
-    if not 0 <= f_prime_base <= total_len:
-        raise ValueError(f"mutated count {f_prime_base} outside [0, {total_len}]")
-    den = total_len - 4.0 * f_base
-    if den == 0.0:
-        raise SingularDenominator(
-            "base frequency is exactly 1/4 of the sequence; its count does not move with the rate"
-        )
-    return _result(EstimatorId.K1_SINGLE, 3.0 * (f_prime_base - f_base) / den)
+    return _class_rate(
+        EstimatorId.K1_SINGLE, f_base, f_prime_base, total_len, 1,
+        "base frequency is exactly 1/4 of the sequence; its count does not move with the rate",
+    )
 
 
 def estimate_k1_gc(x_gc: float, y_gc: float) -> EstimateResult:
     """Rate from GC fractions of the source (``x_gc``) and mutated (``y_gc``)
     sequences. Undefined at source GC exactly 1/2."""
-    for name, v in (("x_gc", x_gc), ("y_gc", y_gc)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {v}")
-    den = 2.0 - 4.0 * x_gc
-    if den == 0.0:
-        raise SingularDenominator(
-            "source GC fraction is exactly 1/2; GC content does not move with the rate"
-        )
-    return _result(EstimatorId.K1_GC, 3.0 * (y_gc - x_gc) / den)
+    return _class_rate(
+        EstimatorId.K1_GC, x_gc, y_gc, 1.0, 2,
+        "source GC fraction is exactly 1/2; GC content does not move with the rate",
+    )
 
 
-def estimate_k1_reads(
-    h_base: float,
-    h_prime_base: float,
-    num_reads: int,
-    read_len: int,
-) -> EstimateResult:
+def estimate_k1_reads(h_base: float, h_prime_base: float, num_reads: int, read_len: int) -> EstimateResult:
     """Rate from one nucleotide's pooled count in reads of the source
     (``h_base``) and of the mutated copy (``h_prime_base``).
 
@@ -142,26 +143,21 @@ def estimate_k1_reads(
     """
     if num_reads < 1 or read_len < 1:
         raise ValueError("num_reads and read_len must be >= 1")
-    volume = float(num_reads) * float(read_len)
-    if not 0 <= h_base <= volume:
-        raise ValueError(f"source read count {h_base} outside [0, {volume}]")
-    if not 0 <= h_prime_base <= volume:
-        raise ValueError(f"mutated read count {h_prime_base} outside [0, {volume}]")
-    den = volume - 4.0 * h_base
-    if den == 0.0:
-        raise SingularDenominator(
-            "base frequency is exactly 1/4 of the read volume; its count does not move with the rate"
-        )
-    return _result(EstimatorId.K1_READS, 3.0 * (h_prime_base - h_base) / den)
+    return _class_rate(
+        EstimatorId.K1_READS, h_base, h_prime_base, float(num_reads) * float(read_len), 1,
+        "base frequency is exactly 1/4 of the read volume; its count does not move with the rate",
+    )
 
 
 # ---------------------------------------------------------------------------
 # mutated-side access: integer tables or {k-mer: expected count} mappings
 
 
-def _as_packed_counts(mutated: MutatedCounts, source: KmerTable) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted packed keys + float counts of the mutated side, which must share
-    the source's k and, for a table, its provenance (reads or sequence)."""
+def _mass_on(mutated: MutatedCounts, source: KmerTable, keys: np.ndarray) -> float:
+    """Mutated-side mass at the packed ``keys``, summed in their order
+    (absent keys add zero). The mutated side must share the source's k and,
+    for a table, its provenance (reads or sequence); a mapping must hold
+    distinct k-mers with nonnegative counts."""
     k = source.k
     if isinstance(mutated, KmerTable):
         if mutated.k != k:
@@ -170,30 +166,19 @@ def _as_packed_counts(mutated: MutatedCounts, source: KmerTable) -> tuple[np.nda
             raise ValueError(
                 f"mutated table has provenance {mutated.provenance!r}, source has {source.provenance!r}"
             )
-        return mutated.keys, mutated.counts.astype(np.float64)
-    keys = []
-    vals = []
+        return float(lookup(mutated.keys, mutated.counts, keys).astype(np.float64).sum())
     for kmer, c in mutated.items():
         if len(kmer) != k:
             raise MismatchedK(f"k-mer {kmer!r} has length {len(kmer)}, expected {k}")
-        c = float(c)
-        if c < 0:
+        if float(c) < 0:
             raise ValueError(f"negative count for {kmer!r}")
-        keys.append(encode_kmer(kmer))
-        vals.append(c)
-    keys_arr = np.array(keys, dtype=np.uint64) if keys else np.empty(0, dtype=np.uint64)
-    vals_arr = np.array(vals, dtype=np.float64) if vals else np.empty(0, dtype=np.float64)
-    order = np.argsort(keys_arr)
-    keys_arr = keys_arr[order]
-    vals_arr = vals_arr[order]
-    if keys_arr.size > 1 and np.any(np.diff(keys_arr.astype(np.int64)) == 0):
+    m_keys = np.array([encode_kmer(kmer) for kmer in mutated], dtype=np.uint64)
+    m_vals = np.array([float(c) for c in mutated.values()], dtype=np.float64)
+    order = np.argsort(m_keys)
+    m_keys, m_vals = m_keys[order], m_vals[order]
+    if np.any(m_keys[1:] == m_keys[:-1]):
         raise ValueError("duplicate k-mers in mutated counts")
-    return keys_arr, vals_arr
-
-
-def _mass_over(keys: np.ndarray, vals: np.ndarray, wanted: np.ndarray) -> float:
-    """Sum of ``vals`` at the ``wanted`` packed keys (absent keys add zero)."""
-    return float(lookup(keys, vals, wanted).sum())
+    return float(lookup(m_keys, m_vals, keys).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +308,7 @@ def estimate_general_k(
         raise ValueError(
             "subset covers all possible k-mers; restrict it (e.g. top:m) or raise k"
         )
-    m_keys, m_vals = _as_packed_counts(mutated, source)
-    target = _mass_over(m_keys, m_vals, sub_keys)
+    target = _mass_on(mutated, source, sub_keys)
     profile = distance_profile(sub_keys, source, k)
 
     def g(q: float) -> float:
@@ -337,13 +321,7 @@ def estimate_general_k(
         return acc - target
 
     root, multiple = find_smallest_root(g, k)
-    warnings = []
-    if multiple:
-        warnings.append(
-            "moment equation has more than one root on [0, 0.75]; reporting the smallest"
-        )
-    diag = Diagnostics(multiple_roots=multiple)
-    return _result(EstimatorId.GENERAL_K, root, diag, warnings)
+    return _result(EstimatorId.GENERAL_K, root, Diagnostics(multiple_roots=multiple))
 
 
 # ---------------------------------------------------------------------------
@@ -356,16 +334,12 @@ def estimate_large_k_seq(source: KmerTable, mutated: MutatedCounts) -> EstimateR
     other source k-mers: that mass is G(1-p)^k in expectation."""
     if source.provenance != "sequence":
         raise ValueError("sequence-level survival needs a full-sequence table")
-    k = source.k
     total = source.total
     if total == 0:
         raise EmptyRetainedSet("source table is empty")
-    m_keys, m_vals = _as_packed_counts(mutated, source)
-    mass = _mass_over(m_keys, m_vals, source.keys)
-    ratio = mass / total
-    p_raw = 1.0 - ratio ** (1.0 / k)
-    diag = Diagnostics(retained_mass=float(mass))
-    return _result(EstimatorId.LARGE_K_SEQ, p_raw, diag)
+    mass = _mass_on(mutated, source, source.keys)
+    p_raw = 1.0 - (mass / total) ** (1.0 / source.k)
+    return _result(EstimatorId.LARGE_K_SEQ, p_raw, Diagnostics(retained_mass=mass))
 
 
 class LambdaSelection(NamedTuple):
@@ -403,11 +377,7 @@ def select_lambda(source: KmerTable, error_rate: float) -> LambdaSelection:
     return LambdaSelection(1, int(total), True)
 
 
-def estimate_large_k_reads(
-    source: KmerTable,
-    mutated: MutatedCounts,
-    error_rate: float,
-) -> EstimateResult:
+def estimate_large_k_reads(source: KmerTable, mutated: MutatedCounts, error_rate: float) -> EstimateResult:
     """Rate from read k-mer mass surviving on the source's high-count k-mers.
 
     The threshold from :func:`select_lambda` keeps k-mers that are almost
@@ -431,23 +401,11 @@ def estimate_large_k_reads(
     den = float(sel.retained_mass)
     if den <= 0:
         raise EmptyRetainedSet("threshold retained no k-mer mass")
-    k = source.k
-    m_keys, m_vals = _as_packed_counts(mutated, source)
-    num = _mass_over(m_keys, m_vals, retained)
+    num = _mass_on(mutated, source, retained)
     if isinstance(mutated, KmerTable):
         if mutated.total == 0:
             raise EmptyRetainedSet("mutated read table is empty")
         num *= source.total / mutated.total
-    ratio = num / den
-    p_raw = 1.0 - ratio ** (1.0 / k)
-    warnings = []
-    if sel.fallback:
-        warnings.append(
-            "count threshold fell back to 1; sequencer noise is not being filtered"
-        )
-    diag = Diagnostics(
-        lambda_threshold=sel.lam,
-        retained_mass=den,
-        lambda_fallback=sel.fallback,
-    )
-    return _result(EstimatorId.LARGE_K_READS, p_raw, diag, warnings)
+    p_raw = 1.0 - (num / den) ** (1.0 / source.k)
+    diag = Diagnostics(lambda_threshold=sel.lam, retained_mass=den, lambda_fallback=sel.fallback)
+    return _result(EstimatorId.LARGE_K_READS, p_raw, diag)

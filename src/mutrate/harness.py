@@ -427,8 +427,11 @@ def _load_references(config: ExperimentConfig, seeds: _SeedBook) -> list[_Refere
         xs = [rec.seq for rec in read_fasta(src.path, src.on_invalid)]
     refs = []
     for i, x in enumerate(xs):
-        if config.mode is Mode.SEQ and config.read_len > len(x):
-            raise ValueError(f"reference {i}: read length exceeds sequence length {len(x)}")
+        if config.mode is Mode.SEQ:
+            for name in ("read_len", "y_read_len"):
+                read_len = getattr(config, name)
+                if read_len is not None and read_len > len(x):
+                    raise ValueError(f"reference {i}: {name} {read_len} exceeds its length {len(x)}")
         base = config.k1_base if config.k1_base != "auto" else choose_k1_base(x)
         refs.append(_Reference(i, x, base))
     return refs

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,10 @@ from mutrate.bounds import (
     required_deviation_reads,
     success_probability,
 )
+from mutrate.estimators import EstimatorId
+from mutrate.harness import ExperimentConfig, FastaSource, Mode, run_experiment
+from mutrate.model import CircularSequence
+from mutrate.seqio import FastaRecord, write_fasta
 
 
 class TestTails:
@@ -195,3 +200,44 @@ class TestNonFiniteRejected:
     def test_read_bound_params(self, value, arg):
         with pytest.raises(ValueError):
             std_params(**{arg: value})
+
+
+def test_read_guarantee_holds_in_simulation(tmp_path):
+    """The paper's guarantee for k1-reads: once the base's fraction sits
+    ``required_deviation_reads`` from 1/4, the relative error stays within
+    eps with probability at least 1 - delta. 200 simulated trials at exactly
+    that deviation must put a one-sided 95% Wilson lower bound on the
+    success fraction above 1 - delta."""
+    g, n, read_len, p, s, eps, delta = 20_000, 20_000, 20, 0.3, 0.03, 0.5, 0.1
+    d = required_deviation_reads(ReadBoundParams(g, n, p, s, eps), equal_budgets(delta))
+    assert d == pytest.approx(0.1159, abs=1e-4)
+    # a reference with exactly ceil((1/4 + d) g) A's, the rest spread over C, G, T
+    n_a = math.ceil((0.25 + d) * g)
+    rest = g - n_a
+    codes = np.repeat(np.arange(4, dtype=np.uint8), [n_a, rest - 2 * (rest // 3), rest // 3, rest // 3])
+    np.random.default_rng(3).shuffle(codes)
+    path = tmp_path / "x.fa"
+    write_fasta(path, [FastaRecord("x", CircularSequence.from_string("".join("ACGT"[c] for c in codes)))])
+    trials = 200
+    config = ExperimentConfig(
+        source=FastaSource(str(path)),
+        mode=Mode.SEQ,
+        estimators=(EstimatorId.K1_READS,),
+        p_grid=(p,),
+        trials_per_point=trials,
+        master_seed=6,
+        s_grid=(s,),
+        coverage_grid=(n * read_len / g,),
+        read_len=read_len,
+        k1_base="A",
+    )
+    records = run_experiment(config)
+    assert len(records) == trials and {r.error for r in records} == {""}
+    assert {(r.p, r.s, r.coverage) for r in records} == {(p, s, 20.0)}
+    hits = sum(abs(r.rel_error) <= eps for r in records)
+    z = 1.6448536269514722  # one-sided 95%
+    frac = hits / trials
+    centre = frac + z * z / (2 * trials)
+    spread = z * math.sqrt(frac * (1 - frac) / trials + z * z / (4 * trials * trials))
+    lower = (centre - spread) / (1 + z * z / trials)
+    assert lower > 1 - delta, f"{hits}/{trials} within eps; Wilson lower bound {lower:.3f}"

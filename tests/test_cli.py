@@ -1,6 +1,8 @@
 """End-to-end CLI tests; every invocation goes through main(argv)."""
 
+import bisect
 import json
+import random
 
 import pytest
 
@@ -445,6 +447,169 @@ class TestEstimate:
         assert err
 
 
+@pytest.fixture(scope="module")
+def small_files(tmp_path_factory):
+    """Inputs of every kind: FASTA, reads at coverage 20 and 1, and k=12
+    sequence tables, of a 2000-base sequence with A at 0.4 and its copy at
+    p=0.1. They are drawn with ``random.Random.random``, whose stream Python
+    keeps fixed across versions, so the bytes do not depend on NumPy's."""
+    d = tmp_path_factory.mktemp("small")
+    rng = random.Random(7)
+
+    def substitute(seq, rate):
+        return "".join("ACGT".replace(b, "")[int(rng.random() * 3)] if rng.random() < rate else b for b in seq)
+
+    g = 2000
+    x = "".join("ACGT"[bisect.bisect((0.4, 0.6, 0.8), rng.random())] for _ in range(g))
+    y = substitute(x, 0.1)
+    for side, seq in (("x", x), ("y", y)):
+        (d / f"{side}.fa").write_text(f">{side}\n{seq}\n")
+        for name, n in (("reads", 400), ("low.reads", 20)):
+            starts = (int(rng.random() * g) for _ in range(n))
+            rows = [substitute((seq + seq)[start : start + 100], 0.01) for start in starts]
+            (d / f"{side}.{name}").write_text(f"#L=100\t#N={n}\t#G={g}\n" + "\n".join(rows) + "\n")
+        main(["count", "--fasta", str(d / f"{side}.fa"), "-k", "12", "--out", str(d / f"{side}.tsv")])
+    return d
+
+
+# estimate's exact stdout on small_files, by case: the input files' suffix,
+# the flag spelling that names their kind, further flags, and the bytes. The
+# general-k case runs at k=1, where the moment equation is linear and is
+# solved by one division, so its last bits do not depend on the LAPACK build.
+GOLDEN = {
+    "k1-single": ("fa", "", (), """\
+{
+  "estimator": "k1-single",
+  "p_raw": 0.10176991150442478,
+  "p_clamped": 0.10176991150442478,
+  "base": "A",
+  "warnings": [],
+  "diagnostics": {}
+}
+"""),
+    "k1-gc": ("fa", "", (), """\
+{
+  "estimator": "k1-gc",
+  "p_raw": 0.12202380952380963,
+  "p_clamped": 0.12202380952380963,
+  "warnings": [],
+  "diagnostics": {}
+}
+"""),
+    "general-k": ("fa", "", ("-k", "1", "--subset", "top:1"), """\
+{
+  "estimator": "general-k",
+  "p_raw": 0.1017699115044248,
+  "p_clamped": 0.1017699115044248,
+  "warnings": [],
+  "diagnostics": {
+    "multiple_roots": false
+  }
+}
+"""),
+    "large-k-seq": ("tsv", "-table", (), """\
+{
+  "estimator": "large-k-seq",
+  "p_raw": 0.10675969983223876,
+  "p_clamped": 0.10675969983223876,
+  "warnings": [],
+  "diagnostics": {
+    "retained_mass": 516.0
+  }
+}
+"""),
+    "k1-reads": ("reads", "-reads", (), """\
+{
+  "estimator": "k1-reads",
+  "p_raw": 0.09875804279515188,
+  "p_clamped": 0.09875804279515188,
+  "base": "A",
+  "warnings": [],
+  "diagnostics": {}
+}
+"""),
+    "large-k-reads": ("reads", "-reads", ("-k", "12", "--s", "0.02"), """\
+{
+  "estimator": "large-k-reads",
+  "p_raw": 0.11835850899218481,
+  "p_clamped": 0.11835850899218481,
+  "warnings": [],
+  "diagnostics": {
+    "lambda_threshold": 12,
+    "lambda_fallback": false,
+    "retained_mass": 28547.0
+  }
+}
+"""),
+    # coverage 1: almost every k-mer is seen once, so lambda falls back to 1
+    "large-k-reads-fallback": ("low.reads", "-reads", ("-k", "12", "--s", "0.01"), """\
+{
+  "estimator": "large-k-reads",
+  "p_raw": 0.16215573729451183,
+  "p_clamped": 0.16215573729451183,
+  "warnings": [
+    "count threshold fell back to 1; sequencer noise is not being filtered"
+  ],
+  "diagnostics": {
+    "lambda_threshold": 1,
+    "lambda_fallback": true,
+    "retained_mass": 1780.0
+  }
+}
+"""),
+}
+
+
+def _golden_run(capsys, files, case, alias=None):
+    suffix, kind_alias, flags, _ = GOLDEN[case]
+    alias = kind_alias if alias is None else alias
+    return run(capsys, "estimate", "--estimator", case.removesuffix("-fallback"),
+               f"--x{alias}", str(files / f"x.{suffix}"), f"--y{alias}", str(files / f"y.{suffix}"), *flags)
+
+
+class TestEstimateInputs:
+    @pytest.mark.parametrize("case", GOLDEN)
+    def test_golden_stdout(self, small_files, capsys, case):
+        assert _golden_run(capsys, small_files, case) == (0, GOLDEN[case][-1], "")
+
+    @pytest.mark.parametrize("case", ["k1-single", "k1-reads", "large-k-seq"])
+    @pytest.mark.parametrize("alias", ["", "-reads", "-table"])
+    def test_each_kind_reads_through_every_spelling(self, small_files, capsys, case, alias):
+        # the file's header, not the flag, says what it holds
+        assert _golden_run(capsys, small_files, case, alias) == (0, GOLDEN[case][-1], "")
+
+    @pytest.mark.parametrize("x, y", [("x.fa", "y.tsv"), ("x.tsv", "y.fa"), ("x.fa", "y.fa")])
+    def test_large_k_seq_mixes_fasta_and_table(self, small_files, capsys, x, y):
+        code, out, err = run(capsys, "estimate", "--estimator", "large-k-seq", "-k", "12",
+                             "--x", str(small_files / x), "--y", str(small_files / y))
+        assert (code, out, err) == (0, GOLDEN["large-k-seq"][-1], "")
+
+    @pytest.mark.parametrize(
+        "est, x, kind",
+        [
+            ("k1-single", "x.reads", "a read set"),
+            ("k1-single", "x.tsv", "a k-mer table"),
+            ("k1-reads", "x.fa", "a sequence"),
+            ("k1-reads", "x.tsv", "a k-mer table"),
+            ("k1-gc", "x.tsv", "a k-mer table"),
+        ],
+    )
+    def test_kind_the_estimator_does_not_take_exits_one(self, small_files, capsys, est, x, kind):
+        code, out, err = run(capsys, "estimate", "--estimator", est,
+                             "--x", str(small_files / x), "--y", str(small_files / x))
+        assert (code, out) == (1, "")
+        assert err == f"error: {est} does not take {kind} as x\n"
+
+    @pytest.mark.parametrize("est", ["general-k", "large-k-seq"])
+    def test_kmer_estimator_needs_k_or_table(self, small_files, capsys, est):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--estimator", est, "--x", str(small_files / "x.fa"),
+                  "--y", str(small_files / "y.tsv")])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "requires -k or a k-mer table as --x" in err
+
+
 class TestBounds:
     def test_min_deviation_prints_number(self, capsys):
         code, out, _ = run(capsys, "bounds", "min-deviation", "--rate", "0.01",
@@ -521,6 +686,15 @@ class TestExperiment:
             main(["experiment", *(a for pair in argv.items() for a in pair)])
         assert exc.value.code == 2
         assert "repeats a value" in capsys.readouterr().err
+
+    def test_y_read_len_past_the_reference_exits_one(self, capsys):
+        code, out, err = run(
+            capsys, "experiment", "--mode", "seq", "--estimators", "k1-reads,large-k-reads",
+            "--p", "0.1", "--trials", "1", "--seed", "1", "--length", "500", "-k", "8",
+            "--s", "0.01", "--read-len", "100", "--y-read-len", "1000",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: reference 0: y_read_len 1000 exceeds its length 500\n"
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = [

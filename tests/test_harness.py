@@ -260,6 +260,26 @@ class TestRunExperiment:
         errors = {r.estimator: r.error for r in records}
         assert errors == {EstimatorId.K1_READS: "estimator-error", EstimatorId.LARGE_K_READS: ""}
 
+    def test_y_read_len_past_the_reference_fails_before_any_trial(self, monkeypatch):
+        # this used to run every k1-reads trial, then fail in the first
+        # large-k-reads trial with a message naming a Python keyword
+        mutated = []
+        monkeypatch.setattr(harness, "mutate", lambda *args: mutated.append(args))
+        cfg = nonseq_config(
+            source=IidSource(500, SKEWED),
+            mode=Mode.SEQ,
+            estimators=(EstimatorId.K1_READS, EstimatorId.LARGE_K_READS),
+            k_values=(8,),
+            s_grid=(0.01,),
+            coverage_grid=(10.0,),
+            read_len=100,
+            y_read_len=1000,
+            trials_per_point=2,
+        )
+        with pytest.raises(ValueError, match=r"^reference 0: y_read_len 1000 exceeds its length 500$"):
+            run_experiment(cfg)
+        assert mutated == []
+
     def test_nonseq_and_seq_agree_when_reads_cover_everything(self):
         # s=0 and L=G with generous coverage make read statistics converge
         # to whole-sequence statistics: means must agree within 4 SE

@@ -14,10 +14,10 @@ stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
+from dataclasses import asdict, fields
 
 from . import bounds as bounds_mod
 from .errors import MutrateError
@@ -39,8 +39,10 @@ from .harness import (
     ExperimentConfig,
     FastaSource,
     IidSource,
+    K1_BASES,
     Mode,
     as_table,
+    check_kind,
     choose_k1_base,
     derive_seed,
     estimate,
@@ -52,7 +54,7 @@ from .harness import (
 )
 from .kmers import KmerTable, count_kmers_reads, count_kmers_sequence
 from .model import (
-    ALPHABET,
+    CircularSequence,
     SubstitutionChannel,
     generate_iid_sequence,
     mutate,
@@ -69,17 +71,6 @@ from .seqio import (
 )
 
 
-def _sci_int(text: str) -> int:
-    """Integer flag that tolerates scientific notation (1e6, 2.5e3)."""
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not v.is_integer():
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    return int(v)
-
-
 def _sci_float(text: str) -> float:
     """Finite float flag; nan and inf are usage errors."""
     try:
@@ -91,16 +82,38 @@ def _sci_float(text: str) -> float:
     return v
 
 
-def _float_list(text: str, size: int | None = None, what: str = "numbers") -> tuple[float, ...]:
-    """Comma-separated finite numbers; exactly ``size`` of them when given."""
-    vals = tuple(_sci_float(p) for p in text.split(",") if p)
-    if size is not None and len(vals) != size:
-        raise argparse.ArgumentTypeError(f"expected {size} comma-separated {what}, got {text!r}")
-    return vals
+def _sci_int(text: str) -> int:
+    """Integer flag that tolerates scientific notation (1e6, 2.5e3)."""
+    v = _sci_float(text)
+    if not v.is_integer():
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(v)
 
 
-_dist = functools.partial(_float_list, size=4, what="probabilities A,C,G,T")
-_dist3 = functools.partial(_float_list, size=3, what="exponents c1,c2,c3")
+def _estimator(text: str) -> EstimatorId:
+    try:
+        return EstimatorId(text)
+    except ValueError:
+        valid = ",".join(e.value for e in EstimatorId)
+        raise argparse.ArgumentTypeError(f"unknown estimator in {text!r}; choose from {valid}") from None
+
+
+def _listed(parse, what: str, size: int | None = None):
+    """Flag type of a nonempty comma-separated list of ``what``, each item
+    read by ``parse``; exactly ``size`` items when given."""
+
+    def parse_list(text: str) -> tuple:
+        vals = tuple(parse(item) for item in text.split(",") if item)
+        if not vals or size not in (None, len(vals)):
+            count = "" if size is None else f"{size} "
+            raise argparse.ArgumentTypeError(f"expected {count}comma-separated {what}, got {text!r}")
+        return vals
+
+    return parse_list
+
+
+_dist = _listed(_sci_float, "probabilities A,C,G,T", 4)
+_dist3 = _listed(_sci_float, "exponents c1,c2,c3", 3)
 
 
 def _subset(text: str) -> SubsetSpec:
@@ -121,42 +134,17 @@ def _subset(text: str) -> SubsetSpec:
     )
 
 
-def _base(text: str) -> str:
-    if text == "auto" or text in ALPHABET:
-        return text
-    raise argparse.ArgumentTypeError(f"base must be 'auto' or one of ACGT, got {text!r}")
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(_sci_int(p) for p in text.split(",") if p)
-    except argparse.ArgumentTypeError:
-        raise argparse.ArgumentTypeError(f"bad integer in list {text!r}") from None
-
-
-def _estimator_list(text: str) -> tuple[EstimatorId, ...]:
-    names = [p for p in text.split(",") if p]
-    if not names:
-        raise argparse.ArgumentTypeError("estimator list is empty")
-    try:
-        return tuple(EstimatorId(n) for n in names)
-    except ValueError:
-        valid = ",".join(e.value for e in EstimatorId)
-        raise argparse.ArgumentTypeError(
-            f"unknown estimator in {text!r}; choose from {valid}"
-        ) from None
-
-
-def _pick_record(records: list[FastaRecord], index: int | None, path: str) -> FastaRecord:
+def _read_record(path: str, index: int | None) -> CircularSequence:
+    """The sequence of record ``index`` of the FASTA file ``path``; index
+    None takes the only record and is an error when there are several."""
+    records = read_fasta(path)
     if index is None:
         if len(records) != 1:
-            raise MutrateError(
-                f"{path} holds {len(records)} records; pick one with --record"
-            )
-        return records[0]
-    if not 0 <= index < len(records):
+            raise MutrateError(f"{path} holds {len(records)} records; pick one with --record")
+        index = 0
+    elif not 0 <= index < len(records):
         raise MutrateError(f"--record {index} out of range for {path} ({len(records)} records)")
-    return records[index]
+    return records[index].seq
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -215,7 +203,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", "--y-reads", "--y-table", dest="y", required=True, help=f"mutated copy: {kinds}")
     p.add_argument("--record", type=_sci_int, default=None)
     p.add_argument("-k", type=_sci_int, default=None, help="k when counting from FASTA/reads")
-    p.add_argument("--base", type=_base, default="auto", help="nucleotide for the single-base estimators")
+    p.add_argument(
+        "--base", choices=K1_BASES, metavar="BASE", default="auto", help="nucleotide for the single-base estimators"
+    )
     p.add_argument("--s", type=_sci_float, default=None, help="sequencer error rate (large-k-reads)")
     p.add_argument("--subset", type=_subset, default=None, help="general-k subset: all, top:M, explicit:...")
     p.add_argument(
@@ -243,12 +233,13 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--eps", type=_sci_float, required=True, help="target relative error")
     b.add_argument("--length", type=_sci_float, required=True)
 
+    # dest is the ReadBoundParams field
     b = bsub.add_parser("required-deviation", help="required base-frequency deviation, reads")
-    b.add_argument("--length", type=_sci_float, required=True)
+    b.add_argument("--length", dest="seq_len", metavar="LENGTH", type=_sci_float, required=True)
     b.add_argument("--num-reads", type=_sci_float, required=True)
     b.add_argument("--rate", type=_sci_float, required=True)
-    b.add_argument("--s", type=_sci_float, required=True, help="sequencer error rate")
-    b.add_argument("--eps", type=_sci_float, required=True)
+    b.add_argument("--s", dest="error_rate", metavar="S", type=_sci_float, required=True, help="sequencer error rate")
+    b.add_argument("--eps", dest="rel_tol", metavar="EPS", type=_sci_float, required=True)
     bg = b.add_mutually_exclusive_group(required=True)
     bg.add_argument("--delta", type=_sci_float, help="total failure probability, split evenly")
     bg.add_argument("--budgets", type=_dist3, help="c1,c2,c3 exponents")
@@ -258,6 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bg.add_argument("--delta", type=_sci_float, help="total failure probability, split evenly")
     bg.add_argument("--budgets", type=_dist3, help="c1,c2,c3 exponents")
 
+    # dest is the ExperimentConfig field; a flag left out takes its default
     p = sub.add_parser("experiment", help="run a Monte-Carlo sweep over a parameter grid")
     p.add_argument(
         "--mode",
@@ -266,37 +258,38 @@ def _build_parser() -> argparse.ArgumentParser:
         help="nonseq: estimators see full statistics; seq: estimators see noisy reads",
     )
     p.add_argument(
-        "--estimators",
-        type=_estimator_list,
-        required=True,
-        help="comma-separated estimator names",
+        "--estimators", type=_listed(_estimator, "estimator names"), required=True, help="comma-separated estimator names"
     )
-    p.add_argument("--p", type=_float_list, required=True, help="substitution rates, comma-separated")
-    p.add_argument("--trials", type=_sci_int, required=True, help="trials per grid point")
-    p.add_argument("--seed", type=_sci_int, required=True)
+    p.add_argument(
+        "--p", dest="p_grid", metavar="P", type=_listed(_sci_float, "rates"), required=True,
+        help="substitution rates, comma-separated",
+    )
+    p.add_argument(
+        "--trials", dest="trials_per_point", metavar="TRIALS", type=_sci_int, required=True,
+        help="trials per grid point",
+    )
+    p.add_argument("--seed", dest="master_seed", metavar="SEED", type=_sci_int, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--fasta", help="reference sequences from a FASTA file")
     group.add_argument("--length", type=_sci_int, help="i.i.d. reference length")
     p.add_argument("--dist", type=_dist, default=(0.25, 0.25, 0.25, 0.25))
     p.add_argument("--refs", type=_sci_int, default=1, help="number of i.i.d. references")
-    p.add_argument("-k", type=_int_list, default=(1,), help="k values, comma-separated")
     p.add_argument(
-        "--s",
-        type=_float_list,
-        default=None,
+        "-k", dest="k_values", metavar="K", type=_listed(_sci_int, "k values"), help="k values, comma-separated"
+    )
+    p.add_argument(
+        "--s", dest="s_grid", metavar="S", type=_listed(_sci_float, "error rates"),
         help="sequencer error rates, comma-separated (seq mode; required for large-k-reads)",
     )
     p.add_argument(
-        "--coverage",
-        type=_float_list,
-        default=(DEFAULT_COVERAGE,),
+        "--coverage", dest="coverage_grid", metavar="COVERAGE", type=_listed(_sci_float, "coverages"),
         help="coverages, comma-separated (seq mode)",
     )
-    p.add_argument("--read-len", type=_sci_int, default=DEFAULT_READ_LEN)
-    p.add_argument("--base", type=_base, default="auto")
-    p.add_argument("--subset", type=_subset, default=None)
-    p.add_argument("--y-coverage", type=_sci_float, default=None, help="mutated-side coverage override")
-    p.add_argument("--y-read-len", type=_sci_int, default=None, help="mutated-side read length override")
+    p.add_argument("--read-len", type=_sci_int)
+    p.add_argument("--base", dest="k1_base", metavar="BASE", choices=K1_BASES)
+    p.add_argument("--subset", type=_subset)
+    p.add_argument("--y-coverage", type=_sci_float, help="mutated-side coverage override")
+    p.add_argument("--y-read-len", type=_sci_int, help="mutated-side read length override")
     p.add_argument("--out-csv", default=None, help="write per-trial records here")
     p.add_argument("--out-json", default=None, help="write the summary here")
 
@@ -321,14 +314,14 @@ def _cmd_mutate(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_reads(args, parser: argparse.ArgumentParser) -> int:
-    rec = _pick_record(read_fasta(args.inp), args.record, args.inp)
+    seq = _read_record(args.inp, args.record)
     n = args.num_reads
     if n is None:
-        n = read_count(args.coverage, len(rec.seq), args.read_len)
+        n = read_count(args.coverage, len(seq), args.read_len)
     elif n < 1:
         raise MutrateError(f"--num-reads must be >= 1, got {n}")
     rs = sample_reads(
-        rec.seq,
+        seq,
         args.read_len,
         n,
         SubstitutionChannel(args.error_rate),
@@ -340,9 +333,8 @@ def _cmd_reads(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_count(args, parser: argparse.ArgumentParser) -> int:
-    if args.fasta:
-        rec = _pick_record(read_fasta(args.fasta), args.record, args.fasta)
-        table = count_kmers_sequence(rec.seq, args.k)
+    if args.fasta is not None:
+        table = count_kmers_sequence(_read_record(args.fasta, args.record), args.k)
     else:
         rs = read_reads(args.reads)
         table = count_kmers_reads(rs, args.k)
@@ -359,7 +351,7 @@ def _load(path: str, record: int | None) -> Data:
         return read_kmer_table(path)
     if head == b"#L=":
         return read_reads(path)
-    return _pick_record(read_fasta(path), record, path).seq
+    return _read_record(path, record)
 
 
 def _cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
@@ -373,6 +365,7 @@ def _cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
     if est in KMER_BASED:
         if args.k is None and not isinstance(x, KmerTable):
             parser.error(f"--estimator {est.value} requires -k or a k-mer table as --x")
+        check_kind(est, "x", x)
         # count x before reading y: one side's reads in memory at a time
         x = as_table(x, args.k)
     y = _load(args.y, args.record)
@@ -385,23 +378,14 @@ def _cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _result_to_dict(result: EstimateResult, extras: dict) -> dict:
-    d = result.diagnostics
-    out = {
+    return {
         "estimator": result.estimator.value,
         "p_raw": result.p_raw,
         "p_clamped": result.p_clamped,
         **extras,
         "warnings": list(result.warnings),
-        "diagnostics": {},
+        "diagnostics": {k: v for k, v in asdict(result.diagnostics).items() if v is not None},
     }
-    if d.lambda_threshold is not None:
-        out["diagnostics"]["lambda_threshold"] = d.lambda_threshold
-        out["diagnostics"]["lambda_fallback"] = d.lambda_fallback
-    if d.retained_mass is not None:
-        out["diagnostics"]["retained_mass"] = d.retained_mass
-    if result.estimator is EstimatorId.GENERAL_K:
-        out["diagnostics"]["multiple_roots"] = d.multiple_roots
-    return out
 
 
 def _cmd_bounds(args, parser: argparse.ArgumentParser) -> int:
@@ -420,11 +404,7 @@ def _cmd_bounds(args, parser: argparse.ArgumentParser) -> int:
             value = bounds_mod.success_probability(budgets)
         else:
             params = bounds_mod.ReadBoundParams(
-                seq_len=args.length,
-                num_reads=args.num_reads,
-                rate=args.rate,
-                error_rate=args.s,
-                rel_tol=args.eps,
+                **{f.name: getattr(args, f.name) for f in fields(bounds_mod.ReadBoundParams)}
             )
             value = bounds_mod.required_deviation_reads(params, budgets)
     print(repr(value))
@@ -432,31 +412,14 @@ def _cmd_bounds(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_experiment(args, parser: argparse.ArgumentParser) -> int:
-    if EstimatorId.LARGE_K_READS in args.estimators and args.s is None:
+    if EstimatorId.LARGE_K_READS in args.estimators and args.s_grid is None:
         # s=0 is legitimate, but for this estimator it must be a decision
         parser.error("large-k-reads requires an explicit --s")
-    if args.fasta:
-        source: IidSource | FastaSource = FastaSource(args.fasta)
-    else:
-        if args.length is None:
-            parser.error("one of --fasta or --length is required")
-        source = IidSource(args.length, args.dist, args.refs)
+    source = FastaSource(args.fasta) if args.fasta is not None else IidSource(args.length, args.dist, args.refs)
+    given = vars(args)
     try:
         config = ExperimentConfig(
-            source=source,
-            mode=Mode(args.mode),
-            estimators=args.estimators,
-            p_grid=args.p,
-            trials_per_point=args.trials,
-            master_seed=args.seed,
-            k_values=args.k,
-            s_grid=args.s if args.s is not None else (0.0,),
-            coverage_grid=args.coverage,
-            read_len=args.read_len,
-            k1_base=args.base,
-            subset=args.subset,
-            y_coverage=args.y_coverage,
-            y_read_len=args.y_read_len,
+            source, **{f.name: given[f.name] for f in fields(ExperimentConfig)[1:] if given[f.name] is not None}
         )
     except ValueError as exc:
         parser.error(str(exc))

@@ -55,12 +55,13 @@ SINGLE_BASE = frozenset({EstimatorId.K1_SINGLE, EstimatorId.K1_READS})
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """Side facts about how an estimate was produced."""
+    """Side facts about how an estimate was produced. None means the
+    estimator does not report that fact."""
 
     lambda_threshold: int | None = None
+    lambda_fallback: bool | None = None
     retained_mass: float | None = None
-    lambda_fallback: bool = False
-    multiple_roots: bool = False
+    multiple_roots: bool | None = None
 
 
 _FALLBACK_WARNING = "count threshold fell back to 1; sequencer noise is not being filtered"

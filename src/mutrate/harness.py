@@ -60,6 +60,7 @@ SUMMARY_FORMAT = "mutrate-summary-v1"
 
 DEFAULT_COVERAGE = 30.0
 DEFAULT_READ_LEN = 1000
+K1_BASES = ("auto", *ALPHABET)  # the single-base estimators' base: picked, or one nucleotide
 
 class Mode(str, Enum):
     """Which data the estimators see: complete k-mer statistics of both
@@ -109,6 +110,20 @@ def as_table(x: Data, k: int | None) -> KmerTable:
     return count_kmers_sequence(x, k)
 
 
+def check_kind(est: EstimatorId, side: str, data: Data) -> None:
+    """Raise ValueError unless ``est`` takes ``data``'s kind as ``side``: a
+    k-mer estimator (``KMER_BASED``) tables, a read estimator (``READ_BASED``)
+    read sets, and any other estimator sequences."""
+    if isinstance(data, KmerTable):
+        takes, kind = est in KMER_BASED, "a k-mer table"
+    elif isinstance(data, ReadSet):
+        takes, kind = est in READ_BASED, "a read set"
+    else:
+        takes, kind = est not in READ_BASED, "a sequence"
+    if not takes:
+        raise ValueError(f"{est.value} does not take {kind} as {side}")
+
+
 def estimate(
     est: EstimatorId,
     x: Data,
@@ -122,9 +137,7 @@ def estimate(
     """Run estimator ``est`` on the source ``x`` and the mutated ``y``.
 
     Each side is a sequence, read set or k-mer table, of a kind ``est``
-    takes: a k-mer estimator (``KMER_BASED``) takes tables, a read
-    estimator (``READ_BASED``) read sets, and any other estimator
-    sequences; another kind is a ValueError. ``base`` is the nucleotide the
+    takes (:func:`check_kind`). ``base`` is the nucleotide the
     single-base estimators count (None picks it with
     :func:`choose_k1_base` on ``x``). A k-mer estimator uses a table as is
     and counts the others at ``k``, which defaults to the source table's k
@@ -134,15 +147,8 @@ def estimate(
     ``source_len``) where both are known, because a substitution keeps the
     length.
     """
-    for side, d in (("x", x), ("y", y)):
-        if isinstance(d, KmerTable):
-            takes, kind = est in KMER_BASED, "a k-mer table"
-        elif isinstance(d, ReadSet):
-            takes, kind = est in READ_BASED, "a read set"
-        else:
-            takes, kind = est not in READ_BASED, "a sequence"
-        if not takes:
-            raise ValueError(f"{est.value} does not take {kind} as {side}")
+    check_kind(est, "x", x)
+    check_kind(est, "y", y)
     x_len, y_len = (len(d) if isinstance(d, CircularSequence) else d.source_len for d in (x, y))
     if None not in (x_len, y_len) and x_len != y_len:
         raise MutrateError(f"x has {x_len} bases but y has {y_len}; a substitution keeps the length")
@@ -256,7 +262,7 @@ class ExperimentConfig:
                 raise ValueError(f"k must be in 1..{MAX_K}, got {k}")
         if self.trials_per_point < 1:
             raise ValueError(f"trials_per_point must be >= 1, got {self.trials_per_point}")
-        if self.k1_base not in ("auto", "A", "C", "G", "T"):
+        if self.k1_base not in K1_BASES:
             raise ValueError(f"k1_base must be 'auto' or one of ACGT, got {self.k1_base!r}")
         if self.subset is not None and EstimatorId.GENERAL_K not in estimators:
             raise ValueError("subset only applies to the general-k estimator")
@@ -503,8 +509,8 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
                 d = res.diagnostics
                 outcome = dict(
                     p_raw=res.p_raw, p_clamped=res.p_clamped, rel_error=res.p_raw / gp.p - 1.0,
-                    lambda_threshold=d.lambda_threshold, lambda_fallback=d.lambda_fallback,
-                    multiple_roots=d.multiple_roots,
+                    lambda_threshold=d.lambda_threshold, lambda_fallback=bool(d.lambda_fallback),
+                    multiple_roots=bool(d.multiple_roots),
                 )
             records.append(
                 TrialRecord(**asdict(gp), reference=ref.index, trial=trial, seed=trial_seed, **outcome)

@@ -7,9 +7,20 @@ import random
 import pytest
 
 import oracles
+from mutrate import bounds
 from mutrate.cli import main
-from mutrate.estimators import estimate_large_k_reads
-from mutrate.kmers import count_kmers_reads
+from mutrate.estimators import EstimatorId, SubsetSpec, estimate_large_k_reads
+from mutrate.harness import (
+    ExperimentConfig,
+    FastaSource,
+    IidSource,
+    Mode,
+    estimate,
+    run_experiment,
+    write_summary_json,
+    write_trials_csv,
+)
+from mutrate.kmers import count_kmers_reads, count_kmers_sequence
 from mutrate.seqio import read_fasta, read_kmer_table, read_reads
 
 
@@ -130,6 +141,53 @@ def test_non_finite_float_is_usage_error(capsys, flag, value):
     assert f"not a finite number: '{value}'" in err and "Traceback" not in err
 
 
+EXPERIMENT = "experiment --mode nonseq --estimators k1-single --p 0.1 --trials 1 --seed 1 --length 100"
+GENERAL_K = "estimate --estimator general-k --x a.fa --y b.fa -k 2 --subset"
+# a command line and the message of its usage error
+USAGE_ERRORS = {
+    "dist length": (
+        "gen --length 10 --seed 1 --out o.fa --dist 0.5,0.5",
+        "argument --dist: expected 4 comma-separated probabilities A,C,G,T, got '0.5,0.5'",
+    ),
+    "budgets length": (
+        "bounds success --budgets 1,2",
+        "argument --budgets: expected 3 comma-separated exponents c1,c2,c3, got '1,2'",
+    ),
+    "k not a number": (f"{EXPERIMENT} -k 1,x", "argument -k: not a number: 'x'"),
+    "k not finite": (f"{EXPERIMENT} -k inf", "argument -k: not a finite number: 'inf'"),
+    "k not an integer": (f"{EXPERIMENT} -k 1.5", "argument -k: expected an integer, got '1.5'"),
+    "empty s list": (f"{EXPERIMENT} --s ,", "argument --s: expected comma-separated error rates, got ','"),
+    "unknown estimator": (
+        EXPERIMENT.replace("k1-single", "foo"),
+        "argument --estimators: unknown estimator in 'foo'; "
+        "choose from k1-single,k1-gc,general-k,large-k-seq,k1-reads,large-k-reads",
+    ),
+    "empty estimators": (
+        EXPERIMENT.replace("k1-single", ","),
+        "argument --estimators: expected comma-separated estimator names, got ','",
+    ),
+    # what follows the value differs between Python versions
+    "experiment base": (f"{EXPERIMENT} --base X", "argument --base: invalid choice: 'X'"),
+    "estimate base": ("estimate --estimator k1-single --x a.fa --y b.fa --base X", "argument --base: invalid choice: 'X'"),
+    "subset size": (f"{GENERAL_K} top:x", "argument --subset: bad subset size in 'top:x'"),
+    "empty explicit subset": (f"{GENERAL_K} explicit:,", "argument --subset: explicit subset needs at least one k-mer"),
+    "unknown subset": (
+        f"{GENERAL_K} most",
+        "argument --subset: subset must be 'all', 'top:M', or 'explicit:KMER,KMER,...', got 'most'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", USAGE_ERRORS)
+def test_bad_flag_value_is_usage_error(capsys, case):
+    argv, message = USAGE_ERRORS[case]
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert f"error: {message}" in err
+
+
 class TestCount:
     def test_count_sequence(self, tmp_path, capsys):
         x = tmp_path / "x.fa"
@@ -153,6 +211,48 @@ class TestCount:
         table = read_kmer_table(t)
         assert table.provenance == "reads"
         assert table.total == 10 * 48
+
+
+# one command per subcommand that reads one record of a FASTA file
+RECORD_COMMANDS = {
+    "reads": "reads --in {fa} --read-len 4 --num-reads 3 --seed 1 --out {out}",
+    "count": "count --fasta {fa} -k 2 --out {out}",
+    "estimate": "estimate --estimator k1-single --x {fa} --y {fa}",
+}
+
+
+class TestRecord:
+    @pytest.fixture
+    def two_records(self, tmp_path):
+        fa = tmp_path / "two.fa"
+        fa.write_text(">a\nACGTACGTAA\n>b\nCCCCGGGG\n")
+        return fa
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ("", "{fa} holds 2 records; pick one with --record"),
+            ("--record 2", "--record 2 out of range for {fa} (2 records)"),
+            ("--record -1", "--record -1 out of range for {fa} (2 records)"),
+        ],
+    )
+    @pytest.mark.parametrize("command", RECORD_COMMANDS)
+    def test_record_choice_errors(self, two_records, tmp_path, capsys, command, flags, message):
+        argv = RECORD_COMMANDS[command].format(fa=two_records, out=tmp_path / "out").split() + flags.split()
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message.format(fa=two_records)}\n"
+
+    def test_record_picks_by_index(self, two_records, tmp_path, capsys):
+        second = read_fasta(two_records)[1].seq
+        table, reads = tmp_path / "t.tsv", tmp_path / "r.reads"
+        code, _, _ = run(capsys, "count", "--fasta", str(two_records), "--record", "1", "-k", "2", "--out", str(table))
+        assert code == 0
+        assert read_kmer_table(table) == count_kmers_sequence(second, 2)
+        code, _, _ = run(capsys, "reads", "--in", str(two_records), "--record", "1", "--read-len", "4",
+                         "--num-reads", "3", "--seed", "1", "--out", str(reads))
+        assert code == 0
+        assert read_reads(reads).source_len == len(second) == 8
 
 
 @pytest.fixture
@@ -592,13 +692,26 @@ class TestEstimateInputs:
             ("k1-reads", "x.fa", "a sequence"),
             ("k1-reads", "x.tsv", "a k-mer table"),
             ("k1-gc", "x.tsv", "a k-mer table"),
+            # a k-mer estimator counts x before y is read; x's kind is judged
+            # before that count, not by the counted table's provenance
+            ("general-k", "x.reads", "a read set"),
+            ("large-k-reads", "x.fa", "a sequence"),
         ],
     )
     def test_kind_the_estimator_does_not_take_exits_one(self, small_files, capsys, est, x, kind):
+        flags = {"general-k": ("-k", "2", "--subset", "top:3"), "large-k-reads": ("-k", "12", "--s", "0.01")}
         code, out, err = run(capsys, "estimate", "--estimator", est,
-                             "--x", str(small_files / x), "--y", str(small_files / x))
+                             "--x", str(small_files / x), "--y", str(small_files / x), *flags.get(est, ()))
         assert (code, out) == (1, "")
         assert err == f"error: {est} does not take {kind} as x\n"
+
+    def test_subset_all(self, small_files, capsys):
+        x, y = (read_fasta(small_files / f"{side}.fa")[0].seq for side in ("x", "y"))
+        expected = estimate(EstimatorId.GENERAL_K, x, y, k=8, subset=SubsetSpec.all())
+        code, out, err = run(capsys, "estimate", "--estimator", "general-k", "-k", "8", "--subset", "all",
+                             "--x", str(small_files / "x.fa"), "--y", str(small_files / "y.fa"))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["p_raw"] == expected.p_raw
 
     @pytest.mark.parametrize("est", ["general-k", "large-k-seq"])
     def test_kmer_estimator_needs_k_or_table(self, small_files, capsys, est):
@@ -634,6 +747,18 @@ class TestBounds:
         code, out, _ = run(capsys, "bounds", "success", "--delta", "1e-3")
         assert code == 0
         assert float(out.strip()) == pytest.approx(0.999)
+
+    def test_mcdiarmid(self, capsys):
+        expected = bounds.mcdiarmid_tail(3.0, 0.5, 40)
+        assert run(capsys, "bounds", "mcdiarmid", "--t", "3", "--diff", "0.5", "--n", "40") == (0, f"{expected!r}\n", "")
+
+    def test_required_deviation_flags_bind_by_name(self, capsys):
+        # each flag has its own value, so a swapped binding changes the number
+        params = bounds.ReadBoundParams(seq_len=1e7, num_reads=1e6, rate=0.2, error_rate=0.03, rel_tol=0.1)
+        expected = bounds.required_deviation_reads(params, bounds.Budgets(9.0, 8.0, 7.0))
+        code, out, err = run(capsys, "bounds", "required-deviation", "--length", "1e7", "--num-reads", "1e6",
+                             "--rate", "0.2", "--s", "0.03", "--eps", "0.1", "--budgets", "9,8,7")
+        assert (code, out, err) == (0, f"{expected!r}\n", "")
 
 
 class TestExperiment:
@@ -695,6 +820,48 @@ class TestExperiment:
         )
         assert (code, out) == (1, "")
         assert err == "error: reference 0: y_read_len 1000 exceeds its length 500\n"
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (
+                "--mode seq --estimators k1-reads,large-k-reads --p 0.05,0.1 --trials 2 --seed 4 --length 3000 "
+                "--dist 0.4,0.2,0.2,0.2 --refs 2 -k 10,12 --s 0,0.01 --coverage 5,8 --read-len 60 --base C "
+                "--y-coverage 4 --y-read-len 50",
+                lambda fasta: ExperimentConfig(
+                    IidSource(3000, (0.4, 0.2, 0.2, 0.2), 2), Mode.SEQ,
+                    (EstimatorId.K1_READS, EstimatorId.LARGE_K_READS), p_grid=(0.05, 0.1), trials_per_point=2,
+                    master_seed=4, k_values=(10, 12), s_grid=(0.0, 0.01), coverage_grid=(5.0, 8.0), read_len=60,
+                    k1_base="C", y_coverage=4.0, y_read_len=50,
+                ),
+            ),
+            (
+                "--mode nonseq --estimators k1-single,k1-gc,general-k,large-k-seq --p 0.1 --trials 2 --seed 3 "
+                "--fasta {fasta} -k 4 --subset top:20",
+                lambda fasta: ExperimentConfig(
+                    FastaSource(str(fasta)), Mode.NONSEQ,
+                    (EstimatorId.K1_SINGLE, EstimatorId.K1_GC, EstimatorId.GENERAL_K, EstimatorId.LARGE_K_SEQ),
+                    p_grid=(0.1,), trials_per_point=2, master_seed=3, k_values=(4,), subset=SubsetSpec.top(20),
+                ),
+            ),
+        ],
+        ids=["seq", "nonseq-fasta"],
+    )
+    def test_flags_bind_to_config_fields(self, tmp_path, capsys, flags, config):
+        """The CLI's sweep writes what the library's does from the config the
+        flags name, field by field."""
+        fasta = tmp_path / "refs.fa"
+        rng = random.Random(5)
+        fasta.write_text("".join(f">{name}\n{''.join(rng.choices('ACGT', k=n))}\n" for name, n in (("a", 2400), ("b", 2000))))
+        config = config(fasta)
+        records = run_experiment(config)
+        write_trials_csv(tmp_path / "lib.csv", records)
+        write_summary_json(tmp_path / "lib.json", config, records)
+        code, _, err = run(capsys, "experiment", *flags.format(fasta=fasta).split(),
+                           "--out-csv", str(tmp_path / "cli.csv"), "--out-json", str(tmp_path / "cli.json"))
+        assert (code, err) == (0, "")
+        for name in ("csv", "json"):
+            assert (tmp_path / f"cli.{name}").read_bytes() == (tmp_path / f"lib.{name}").read_bytes()
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = [

@@ -7,6 +7,7 @@ the bookkeeping.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -497,6 +498,32 @@ def test_mutated_table_must_share_provenance(estimate, source_provenance):
     with pytest.raises(ValueError, match="provenance"):
         estimate(source, KmerTable.from_mapping(3, counts, provenance=other))
     estimate(source, KmerTable.from_mapping(3, counts, provenance=source_provenance))
+
+
+@pytest.mark.parametrize(
+    "estimate, source_provenance",
+    [
+        (lambda x, y: estimate_general_k(x, y, SubsetSpec.top(2)), "sequence"),
+        (estimate_large_k_seq, "sequence"),
+        (lambda x, y: estimate_large_k_reads(x, y, 0.01), "reads"),
+    ],
+)
+@pytest.mark.parametrize(
+    "mutated, error, message",
+    [
+        ({"AC": 1.0}, MismatchedK, "k-mer 'AC' has length 2, expected 3"),
+        ({"ACG": -1.0}, ValueError, "negative count for 'ACG'"),
+        ({"acg": 1.0, "ACG": 1.0}, ValueError, "duplicate k-mers in mutated counts"),
+        (None, MismatchedK, "mutated table has k=2, source has k=3"),
+    ],
+    ids=["short-kmer", "negative", "duplicate", "table-of-other-k"],
+)
+def test_bad_mutated_side_rejected(estimate, source_provenance, mutated, error, message):
+    source = KmerTable.from_mapping(3, {"AAA": 5, "ACG": 3, "TTT": 2}, provenance=source_provenance)
+    if mutated is None:
+        mutated = KmerTable.from_mapping(2, {"AC": 4}, provenance=source_provenance)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        estimate(source, mutated)
 
 
 class TestSequenceLengthsMustMatch:

@@ -136,6 +136,48 @@ class TestConfig:
             nonseq_config(**{name: values})
 
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(estimators=()), "estimators must be nonempty"),
+            (dict(p_grid=()), "p_grid must be nonempty"),
+            (dict(k_values=()), "k_values must be nonempty"),
+            (dict(k_values=(0,)), "k must be in 1..32, got 0"),
+            (dict(k_values=(33,)), "k must be in 1..32, got 33"),
+            (dict(trials_per_point=0), "trials_per_point must be >= 1, got 0"),
+            (dict(k1_base="N"), "k1_base must be 'auto' or one of ACGT, got 'N'"),
+            (dict(mode=Mode.SEQ, estimators=(EstimatorId.K1_READS,), s_grid=()), "read mode needs a nonempty s_grid"),
+            (dict(mode=Mode.SEQ, estimators=(EstimatorId.K1_READS,), s_grid=(1.0,)), "error rates must be in [0, 1), got 1.0"),
+            (
+                dict(mode=Mode.SEQ, estimators=(EstimatorId.K1_READS,), coverage_grid=()),
+                "read mode needs a nonempty coverage_grid",
+            ),
+            (
+                dict(mode=Mode.SEQ, estimators=(EstimatorId.K1_READS,), y_coverage=5.0),
+                "separate mutated-side read parameters only apply to large-k-reads",
+            ),
+            (
+                dict(mode=Mode.SEQ, estimators=(EstimatorId.LARGE_K_READS,), k_values=(20,), y_read_len=19),
+                "y_read_len must cover the largest k",
+            ),
+        ],
+    )
+    def test_invalid_field_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            nonseq_config(**overrides)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, SKEWED), "length must be >= 1, got 0"),
+            ((100, SKEWED, 0), "num_references must be >= 1, got 0"),
+            ((100, (0.5, 0.5)), "distribution must have 4 entries (A, C, G, T)"),
+        ],
+    )
+    def test_invalid_iid_source_rejected(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            IidSource(*args)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
     def test_coverage_must_be_positive_and_finite(self, bad):
         # NaN passed `c <= 0`: read mode then failed converting it to a read

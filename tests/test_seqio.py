@@ -300,12 +300,19 @@ class TestKmerTableCodec:
             ("TT\t1_0\n", ", line 4: count '1_0' is not an integer"),
             ("Té\t2\n", ", line 4: non-ASCII byte 0xc3"),
             ("gt\t2\nac\t3\n", ", line 4: k-mer 'gt' repeats line 3"),
+            ("TT\t00000000000000000001\n", ", line 4: count '00000000000000000001' has more than 19 digits"),
         ],
     )
     def test_malformed_row(self, tmp_path, row, message):
         path = tmp_path / "bad.tsv"
         path.write_text("#k=2\t#total=6\t#provenance=sequence\nAC\t3\nGT\t1\n" + row, encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
+            read_kmer_table(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.tsv"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: empty file$"):
             read_kmer_table(path)
 
     @pytest.mark.parametrize("k", [0, 40])
@@ -440,6 +447,13 @@ class TestReadsIO:
         path = tmp_path / "bad.reads"
         path.write_text(header + "\nAC\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: L, N, G must be unsigned decimal integers")):
+            read_reads(path)
+
+    @pytest.mark.parametrize("header", ["#L=0\t#N=0\t#G=5", "#L=2\t#N=0\t#G=0"])
+    def test_header_out_of_range(self, tmp_path, header):
+        path = tmp_path / "bad.reads"
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: need L >= 1, N >= 0, G >= 1")):
             read_reads(path)
 
     def test_peak_memory_about_two_file_sizes(self, tmp_path):

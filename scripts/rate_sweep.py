@@ -25,8 +25,8 @@ def main(argv=None) -> int:
     ap.add_argument("-k", type=int, default=None,
                     help="k for the k-mer estimators (default 12 nonseq, 24 seq)")
     ap.add_argument("--s", type=float, default=0.01, help="sequencer error rate (seq mode)")
-    ap.add_argument("--coverage", type=float, default=30.0)
-    ap.add_argument("--read-len", type=int, default=1000)
+    ap.add_argument("--coverage", type=float, default=30.0, help="coverage (seq mode)")
+    ap.add_argument("--read-len", type=int, default=1000, help="read length (seq mode)")
     ap.add_argument("--trials", type=int, default=50)
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--subset-size", type=int, default=32,
@@ -44,18 +44,19 @@ def main(argv=None) -> int:
     k = args.k if args.k is not None else (12 if mode is Mode.NONSEQ else 24)
 
     subset = SubsetSpec.top(args.subset_size) if EstimatorId.GENERAL_K in estimators else None
+    reads = {}
+    if mode is Mode.SEQ:  # the read parameters exist only in read mode
+        reads = {"s_grid": (args.s,), "coverage_grid": (args.coverage,), "read_len": args.read_len}
     cfg = ExperimentConfig(
         source=IidSource(int(args.length), tuple(float(x) for x in args.dist.split(","))),
         mode=mode,
         estimators=estimators,
         p_grid=tuple(float(x) for x in args.p.split(",")),
         k_values=(k,),
-        s_grid=(args.s,),
-        coverage_grid=(args.coverage,),
-        read_len=args.read_len,
         trials_per_point=args.trials,
         master_seed=args.seed,
         subset=subset,
+        **reads,
     )
     records = run_experiment(cfg)
 

@@ -147,7 +147,8 @@ def _read_record(path: str, index: int | None) -> CircularSequence:
     return records[index].seq
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser, by name."""
     parser = argparse.ArgumentParser(
         prog="mutrate",
         description="Estimate substitution rates from k-mer statistics of sequences or reads.",
@@ -293,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-csv", default=None, help="write per-trial records here")
     p.add_argument("--out-json", default=None, help="write the summary here")
 
-    return parser
+    return parser, sub.choices
 
 
 def _cmd_gen(args, parser: argparse.ArgumentParser) -> int:
@@ -444,10 +445,11 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, parser)
+        # a usage error found after parsing shows the subcommand's usage
+        return _COMMANDS[args.command](args, commands[args.command])
     except (MutrateError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -281,6 +281,11 @@ class ExperimentConfig:
                 raise ValueError(
                     f"read_len {self.read_len} shorter than largest k {max(self.k_values)}"
                 )
+        else:
+            read_fields = ("s_grid", "coverage_grid", "read_len")
+            given = [f.name for f in fields(self) if f.name in read_fields and getattr(self, f.name) != f.default]
+            if given:
+                raise ValueError(f"read-mode fields {given} do not apply in nonseq mode")
         asym = self.y_coverage is not None or self.y_read_len is not None
         if asym and (mode is not Mode.SEQ or EstimatorId.LARGE_K_READS not in estimators):
             raise ValueError(

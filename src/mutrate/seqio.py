@@ -165,6 +165,17 @@ def _first(bad: np.ndarray, default: int) -> int:
 
 _MAX_COUNT_DIGITS = 19  # as many as int64 needs; any 19-digit count fits in uint64
 _POW10 = 10 ** np.arange(_MAX_COUNT_DIGITS, dtype=np.uint64)
+# The table and read writers format this many bytes of rows at a time, so
+# their memory does not grow with the file.
+_BLOCK_BYTES = 1 << 18
+# The 4 ASCII bytes of each byte of a packed key (4 symbols, the first in the
+# high bits) as one uint32, its bytes in symbol order in memory.
+_QUAD = _CODE_TO_BYTE[(np.arange(256)[:, None] >> np.arange(6, -1, -2)) & 3].view(np.uint32).ravel()
+
+
+def _block_rows(width: int) -> int:
+    """How many rows of ``width`` bytes a writer formats at a time."""
+    return max(1, _BLOCK_BYTES // width)
 
 
 def write_kmer_table(path: str | Path, table: KmerTable) -> None:
@@ -174,34 +185,40 @@ def write_kmer_table(path: str | Path, table: KmerTable) -> None:
     record_g = table.provenance == "reads" and table.source_len is not None
     g = f"\t#G={table.source_len}" if record_g else ""
     header = f"#k={table.k}\t#total={table.total}\t#provenance={table.provenance}{g}\n"
+    step = _block_rows(table.k + 2 + _MAX_COUNT_DIGITS)
     with Path(path).open("wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(_format_table_rows(table.k, table.keys, table.counts))
+        for i in range(0, table.keys.size, step):
+            fh.write(_format_table_rows(table.k, table.keys[i : i + step], table.counts[i : i + step]))
 
 
 def _format_table_rows(k: int, keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``KMER\\tCOUNT\\n`` rows laid out in one buffer, one column at a time."""
-    ndigits = np.searchsorted(_POW10, counts.view(np.uint64), side="right")
-    lengths = k + 2 + ndigits  # k-mer, tab, digits, newline
-    ends = np.cumsum(lengths)  # one past each row's newline
-    starts = ends - lengths
-    del ndigits, lengths
-    buf = np.empty(int(ends[-1]) if ends.size else 0, dtype=np.uint8)
-    for j in range(k):
-        shift = np.uint64(2 * (k - 1 - j))
-        buf[starts + j] = _CODE_TO_BYTE[(keys >> shift) & np.uint64(3)]
-    buf[starts + k] = ord("\t")
-    del starts
-    ends -= 1
-    buf[ends] = ord("\n")
-    # digits right to left; a row drops out once its count is used up
-    pos, rest = ends - 1, counts
-    while pos.size:
-        buf[pos] = ord("0") + rest % 10
-        rest = rest // 10
-        live = rest > 0
-        pos, rest = pos[live] - 1, rest[live]
-    return buf
+    """The bytes of ``KMER\\tCOUNT\\n`` rows. They are laid out in a
+    ``(rows, W)`` matrix, W the widest row rounded up to 4: the k-mer 4
+    symbols per ``_QUAD`` lookup, a tab, each count right-aligned in the
+    widest count's digits and a newline. A shorter count's leading columns
+    are then dropped."""
+    counts = counts.view(np.uint64)
+    fewest, d = np.searchsorted(_POW10, [counts.min(), counts.max()], side="right")
+    width = k + 2 + int(d)  # k-mer, tab, digits, newline
+    quads = -(-k // 4)
+    rows = np.empty((keys.size, -(-width // 4) * 4), dtype=np.uint8)
+    # key bytes most significant first, the last symbol shifted to the end of its byte
+    key_bytes = (keys << np.uint64(8 * quads - 2 * k)).astype(">u8").view(np.uint8).reshape(-1, 8)
+    rows.view(np.uint32)[:, :quads] = _QUAD[key_bytes[:, 8 - quads :]]
+    rows[:, k] = _TAB
+    rest = counts if d > 9 else counts.astype(np.uint32)  # uint32 divides faster
+    for j in range(width - 2, k, -1):
+        rest, rows[:, j] = np.divmod(rest, rest.dtype.type(10))
+    rows[:, k + 1 : width - 1] += ord("0")
+    rows[:, width - 1] = _NL
+    if fewest == d:
+        return np.ascontiguousarray(rows[:, :width])
+    # the columns kept in a row of each digit count, picked by the row's count
+    col = np.arange(rows.shape[1])
+    keep = (col >= width - 1 - np.arange(d + 1)[:, None]) & (col < width)
+    keep[:, : k + 1] = True
+    return rows[keep[np.searchsorted(_POW10, counts, side="right")]]
 
 
 def _header_ints(values: list[str], names: str, where: str) -> list[int]:
@@ -306,6 +323,9 @@ def _table_row_error(row: np.ndarray, k: int) -> str:
 
 # --- read sets ---------------------------------------------------------------
 
+# bytes.translate table from a row of codes ended by a 4 to its line
+_READ_ROW_BYTES = (_CODE_TO_BYTE.tobytes() + b"\n").ljust(256, b"\0")
+
 
 def write_reads(path: str | Path, reads: ReadSet) -> None:
     """One header line ``#L=<L>\\t#N=<N>\\t#G=<G>``, then one read per line.
@@ -314,12 +334,15 @@ def write_reads(path: str | Path, reads: ReadSet) -> None:
     read content alone.
     """
     header = f"#L={reads.read_len}\t#N={reads.num_reads}\t#G={reads.source_len}\n"
-    rows = np.empty((reads.num_reads, reads.read_len + 1), dtype=np.uint8)
-    rows[:, :-1] = _CODE_TO_BYTE[reads.matrix]
-    rows[:, -1] = ord("\n")
+    step = _block_rows(reads.read_len + 1)
+    rows = np.empty((min(step, reads.num_reads), reads.read_len + 1), dtype=np.uint8)
+    rows[:, -1] = 4
     with Path(path).open("wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(rows)
+        for i in range(0, reads.num_reads, step):
+            block = reads.matrix[i : i + step]
+            rows[: len(block), :-1] = block
+            fh.write(rows[: len(block)].tobytes().translate(_READ_ROW_BYTES))
 
 
 def _reads_header(line: str, where: str) -> tuple[int, int, int]:

@@ -175,6 +175,16 @@ USAGE_ERRORS = {
         f"{GENERAL_K} most",
         "argument --subset: subset must be 'all', 'top:M', or 'explicit:KMER,KMER,...', got 'most'",
     ),
+    # found after parsing
+    "repeated rate": (EXPERIMENT.replace("--p 0.1", "--p 0.1,0.1"), "p_grid repeats a value: [0.1, 0.1]"),
+    "read fields in nonseq mode": (
+        f"{EXPERIMENT} --s 0.5 --coverage 3 --read-len 7",
+        "read-mode fields ['s_grid', 'coverage_grid', 'read_len'] do not apply in nonseq mode",
+    ),
+    "large-k-reads without s": (
+        "estimate --estimator large-k-reads --x a.reads --y b.reads",
+        "--estimator large-k-reads requires --s (sequencer error rate)",
+    ),
 }
 
 
@@ -186,6 +196,7 @@ def test_bad_flag_value_is_usage_error(capsys, case):
     out, err = capsys.readouterr()
     assert (exc.value.code, out) == (2, "")
     assert f"error: {message}" in err
+    assert err.startswith(f"usage: mutrate {argv.split()[0]} ")
 
 
 class TestCount:

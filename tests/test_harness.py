@@ -15,6 +15,8 @@ from mutrate.errors import (
 )
 from mutrate.estimators import EstimatorId, SubsetSpec
 from mutrate.harness import (
+    DEFAULT_COVERAGE,
+    DEFAULT_READ_LEN,
     BoxStats,
     ExperimentConfig,
     FastaSource,
@@ -160,11 +162,20 @@ class TestConfig:
                 dict(mode=Mode.SEQ, estimators=(EstimatorId.LARGE_K_READS,), k_values=(20,), y_read_len=19),
                 "y_read_len must cover the largest k",
             ),
+            (dict(s_grid=(0.01,)), "read-mode fields ['s_grid'] do not apply in nonseq mode"),
+            (
+                dict(coverage_grid=(3.0,), read_len=7),
+                "read-mode fields ['coverage_grid', 'read_len'] do not apply in nonseq mode",
+            ),
         ],
     )
     def test_invalid_field_rejected(self, overrides, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             nonseq_config(**overrides)
+
+    def test_read_fields_at_their_defaults_accepted_in_nonseq_mode(self):
+        given = nonseq_config(s_grid=(0,), coverage_grid=(DEFAULT_COVERAGE,), read_len=DEFAULT_READ_LEN)
+        assert given == nonseq_config()
 
     @pytest.mark.parametrize(
         "args, message",

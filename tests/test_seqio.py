@@ -7,10 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from mutrate import seqio
 from mutrate.errors import FastaParseError
 from mutrate.kmers import KmerTable, count_kmers_reads, count_kmers_sequence
 from mutrate.model import (
     CircularSequence,
+    ReadSet,
     SubstitutionChannel,
     codes_to_string,
     generate_iid_sequence,
@@ -218,6 +220,29 @@ def _row_format(table: KmerTable) -> bytes:
     return (header + "".join(f"{kmer}\t{c}\n" for kmer, c in table.items())).encode()
 
 
+def _peak_bytes(write, path, data) -> int:
+    """tracemalloc's peak while ``write(path, data)`` runs."""
+    tracemalloc.start()
+    try:
+        write(path, data)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _block_edge_table() -> KmerTable:
+    """A k = 32 read table of two and a half write blocks, its keys past
+    2^63: one-digit counts through the first block, counts cycling through
+    2 to 13 digits in the second and 13-digit counts in the third."""
+    step = seqio._block_rows(32 + 2 + seqio._MAX_COUNT_DIGITS)
+    n = 2 * step + step // 2
+    keys = np.uint64(2**63) + np.arange(n, dtype=np.uint64) * np.uint64(2**63 // n)
+    keys[-1] = 2**64 - 1
+    j = np.arange(step, dtype=np.int64)
+    counts = np.concatenate([np.full(step, 7), 10 ** ((j + 1) % 13) + j, 10**12 + j[: n - 2 * step]])
+    return KmerTable(32, keys, counts, "reads", 10**9)
+
+
 @st.composite
 def kmer_tables(draw):
     k = draw(st.integers(1, 32))
@@ -280,6 +305,8 @@ class TestKmerTableCodec:
             "reads",
         )
     )
+    # rows narrower than the 4 symbols of one key byte
+    @example(table=KmerTable(1, np.arange(4, dtype=np.uint64), np.array([1, 10, 100, 5], dtype=np.int64)))
     def test_round_trip_and_seed_bytes(self, tmp_path_factory, table):
         path = tmp_path_factory.mktemp("t") / "t.tsv"
         write_kmer_table(path, table)
@@ -363,6 +390,34 @@ class TestKmerTableCodec:
         path = tmp_path / "v.tsv"
         path.write_text(header + variant(body))
         assert read_kmer_table(path) == table
+
+    def test_rows_across_block_edges(self, tmp_path, monkeypatch):
+        table = _block_edge_table()
+        widths, format_rows = [], seqio._format_table_rows
+
+        def format_and_record(k, keys, counts):
+            widths.append([len(str(c)) for c in counts.tolist()])
+            return format_rows(k, keys, counts)
+
+        monkeypatch.setattr(seqio, "_format_table_rows", format_and_record)
+        path = tmp_path / "t.tsv"
+        write_kmer_table(path, table)
+        assert path.read_bytes() == _row_format(table)
+        # more than two blocks; the count width changes inside one and at an edge
+        assert len(widths) > 2 and len(set(widths[1])) > 1 and widths[0][-1] != widths[1][0]
+
+    def test_peak_memory_bounded_by_the_block(self, tmp_path):
+        """Writing four times the rows takes no more memory: the writer
+        holds one block of rows at a time."""
+
+        def read_table(n):
+            rng = np.random.default_rng(n)
+            keys = np.unique(rng.integers(0, 4**30, size=n, dtype=np.uint64))
+            return KmerTable(30, keys, rng.integers(1, 1000, size=keys.size), "reads", 10**6)
+
+        n = 2 * seqio._BLOCK_BYTES // (30 + 3)  # two blocks at least: no row is narrower
+        peaks = [_peak_bytes(write_kmer_table, tmp_path / "t.tsv", read_table(rows)) for rows in (n, 4 * n)]
+        assert peaks[1] < 1.25 * peaks[0]
 
     def test_long_counts_on_the_array_path(self, tmp_path):
         """Every count width from 1 to 19 digits is parsed exactly, whatever
@@ -470,6 +525,21 @@ class TestReadsIO:
             tracemalloc.stop()
         assert codes.shape == (2000, 1000) and codes.flags.writeable
         assert peak < 2.05 * size
+
+    def test_blocks_write_the_rows_in_bounded_memory(self, tmp_path):
+        """Two blocks at least and four times that: the same bytes as a row
+        loop, and the same peak memory."""
+        read_len = 100
+        n = 2 * seqio._BLOCK_BYTES // (read_len + 1)
+        peaks = []
+        for rows in (n, 4 * n):
+            rng = np.random.default_rng(rows)
+            reads = ReadSet(rng.integers(0, 4, size=(rows, read_len), dtype=np.uint8), 10**6)
+            path = tmp_path / f"{rows}.reads"
+            peaks.append(_peak_bytes(write_reads, path, reads))
+            lines = "".join(codes_to_string(row) + "\n" for row in reads.matrix)
+            assert path.read_text() == f"#L={read_len}\t#N={rows}\t#G={10**6}\n" + lines
+        assert peaks[1] < 1.25 * peaks[0]
 
     def test_lenient_variants_parse_the_same(self, tmp_path):
         path = tmp_path / "r.reads"

@@ -21,7 +21,7 @@ from dataclasses import asdict, fields
 
 from . import bounds as bounds_mod
 from .errors import MutrateError
-from .estimators import EstimateResult, EstimatorId, KMER_BASED, READ_BASED, SINGLE_BASE, SubsetSpec
+from .estimators import EstimateResult, EstimatorId, KMER_BASED, SINGLE_BASE, SubsetSpec
 
 # not called here; perfbench/tracing.py wraps these names on this module
 from .estimators import (  # noqa: F401
@@ -209,12 +209,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
     p.add_argument("--s", type=_sci_float, default=None, help="sequencer error rate (large-k-reads)")
     p.add_argument("--subset", type=_subset, default=None, help="general-k subset: all, top:M, explicit:...")
-    p.add_argument(
-        "--mode",
-        choices=[m.value for m in Mode],
-        default=None,
-        help="assert the estimator's data regime (nonseq: full statistics, seq: reads)",
-    )
 
     p = sub.add_parser("bounds", help="evaluate concentration bounds; prints a bare number")
     bsub = p.add_subparsers(dest="bound", required=True)
@@ -357,9 +351,6 @@ def _load(path: str, record: int | None) -> Data:
 
 def _cmd_estimate(args, parser: argparse.ArgumentParser) -> int:
     est = EstimatorId(args.estimator)
-    regime = Mode.SEQ if est in READ_BASED else Mode.NONSEQ
-    if args.mode is not None and args.mode != regime.value:
-        parser.error(f"--estimator {est.value} runs in {regime.value} mode, not {args.mode}")
     if est is EstimatorId.LARGE_K_READS and args.s is None:
         parser.error("--estimator large-k-reads requires --s (sequencer error rate)")
     x = _load(args.x, args.record)

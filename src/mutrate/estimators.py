@@ -155,10 +155,10 @@ def estimate_k1_reads(h_base: float, h_prime_base: float, num_reads: int, read_l
 
 
 def _mass_on(mutated: MutatedCounts, source: KmerTable, keys: np.ndarray) -> float:
-    """Mutated-side mass at the packed ``keys``, summed in their order
-    (absent keys add zero). The mutated side must share the source's k and,
-    for a table, its provenance (reads or sequence); a mapping must hold
-    distinct k-mers with nonnegative counts."""
+    """Mutated-side mass at the packed ``keys``, sorted ascending and
+    unique, summed in their order (absent keys add zero). The mutated side
+    must share the source's k and, for a table, its provenance (reads or
+    sequence); a mapping must hold distinct k-mers with nonnegative counts."""
     k = source.k
     if isinstance(mutated, KmerTable):
         if mutated.k != k:

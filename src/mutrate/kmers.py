@@ -67,14 +67,44 @@ def packed_hamming(a, b) -> np.ndarray:
     return _popcount(mism).astype(np.int64)
 
 
+# most keys of either side one merge block holds, 256 KB of uint64 each
+_BLOCK = 1 << 15
+# the merge runs when wanted has at least 1/_MERGE_RATIO as many keys as keys
+_MERGE_RATIO = 4
+
+
 def lookup(keys: np.ndarray, values: np.ndarray, wanted) -> np.ndarray:
-    """``values`` at the ``wanted`` packed keys, where ``keys`` is sorted
-    ascending and aligned with ``values``; zero where a key is absent."""
+    """``values`` at the ``wanted`` packed keys; zero where a key is absent.
+
+    ``keys`` and ``wanted`` are both sorted ascending and unique, and
+    ``values`` is aligned with ``keys``. Two exact paths give the same
+    array; the sizes pick one:
+
+    * search: one ``searchsorted`` of every wanted key, when ``wanted``
+      has fewer than a quarter (1/``_MERGE_RATIO``) as many keys as ``keys``;
+    * merge: otherwise. Cuts at every ``_BLOCK``-th key of either side split
+      both into blocks of at most ``_BLOCK`` keys a side; a block's two runs
+      are merged by one stable argsort, and equal neighbours are the
+      matches. Memory beyond the output is bounded by the block.
+    """
     wanted = np.asarray(wanted, dtype=np.uint64)
-    if keys.size == 0:
-        return np.zeros(wanted.shape, dtype=values.dtype)
-    idx = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
-    return np.where(keys[idx] == wanted, values[idx], 0)
+    if _MERGE_RATIO * wanted.size < keys.size:
+        idx = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+        return np.where(keys[idx] == wanted, values[idx], 0)
+    out = np.zeros(wanted.shape, dtype=values.dtype)
+    cuts = np.union1d(wanted[::_BLOCK], keys[::_BLOCK])
+    w_edges = np.append(np.searchsorted(wanted, cuts), wanted.size)
+    k_edges = np.append(np.searchsorted(keys, cuts), keys.size)
+    for w0, w1, k0, k1 in zip(w_edges[:-1], w_edges[1:], k_edges[:-1], k_edges[1:]):
+        if w0 == w1 or k0 == k1:
+            continue
+        both = np.concatenate([wanted[w0:w1], keys[k0:k1]])
+        order = np.argsort(both, kind="stable")  # a timsort merge of the two runs
+        merged = both[order]
+        # a match is a wanted key followed by its equal from keys
+        at = np.flatnonzero(merged[1:] == merged[:-1])
+        out[w0 + order[at]] = values[k0 - (w1 - w0) + order[at + 1]]
+    return out
 
 
 def _pack_read_windows(matrix: np.ndarray, k: int) -> np.ndarray:

@@ -220,16 +220,27 @@ def sample_reads(
 
 def generate_iid_sequence(length: int, distribution, rng_seed: int) -> CircularSequence:
     """Draw a sequence of ``length`` symbols i.i.d. from a 4-way distribution
-    over (A, C, G, T)."""
+    over (A, C, G, T).
+
+    The draw is ``rng.choice(4, size=length, p=dist / dist.sum())``'s stream
+    without its int64 indices: one uniform u per symbol, and the symbol is
+    the number of the first three cdf entries at or below u.
+    """
     if length < 1:
         raise ValueError("sequence length must be >= 1")
     dist = np.asarray(distribution, dtype=np.float64)
     if dist.shape != (4,):
         raise ValueError("distribution must have exactly 4 probabilities (A, C, G, T)")
+    if not np.all(np.isfinite(dist)):
+        raise ValueError(f"distribution probabilities must be finite, got {dist.tolist()}")
     if np.any(dist < 0):
         raise ValueError("distribution probabilities must be nonnegative")
     if abs(float(dist.sum()) - 1.0) > 1e-9:
         raise ValueError(f"distribution must sum to 1, got {float(dist.sum())!r}")
-    rng = np.random.default_rng(rng_seed)
-    codes = rng.choice(4, size=length, p=dist / dist.sum()).astype(np.uint8)
+    cdf = (dist / dist.sum()).cumsum()
+    cdf /= cdf[-1]
+    u = np.random.default_rng(rng_seed).random(length)
+    codes = np.zeros(length, dtype=np.uint8)
+    for edge in cdf[:3]:
+        codes += u >= edge
     return CircularSequence(codes)

@@ -89,29 +89,71 @@ def hamming_profile(counts: dict[str, int], subset: list[str]) -> list[int]:
     return profile
 
 
-def roots_by_scan(f, lo: float, hi: float, points: int = 4001, tol: float = 1e-14) -> list[float]:
+def roots_by_scan(
+    f, lo: float, hi: float, points: int = 4001, tol: float = 1e-14, touch: float = 0.0
+) -> list[float]:
     """Roots of ``f`` on [lo, hi] that a dense grid sees, ascending: grid
     points where f is exactly zero, and every sign change between neighbours
-    bisected down to ``tol``. Two roots inside one grid cell are missed."""
+    bisected down to ``tol``.
+
+    With ``touch`` > 0, an interior grid point where |f| is least among its
+    neighbours, all of one sign, is refined by golden section to the least
+    |f| between those neighbours. If f changes sign there, both crossings are
+    bisected. Otherwise it is a tangency, one root, when f's complex pair of
+    roots lies within ``touch`` of the real axis: when |f| there is at most
+    its rise over ``touch`` either side. Without ``touch``, two roots inside
+    one grid cell are missed."""
     qs = [lo + (hi - lo) * i / (points - 1) for i in range(points)]
     vals = [f(q) for q in qs]
+
+    def bisect(a, b):
+        fa = f(a)
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            fm = f(mid)
+            if fm == 0.0:
+                return mid
+            if (fm > 0) == (fa > 0):
+                a, fa = mid, fm
+            else:
+                b = mid
+        return 0.5 * (a + b)
+
+    def least(g, a, b):
+        shrink = (5**0.5 - 1) / 2
+        c, d = b - shrink * (b - a), a + shrink * (b - a)
+        gc, gd = g(c), g(d)
+        while b - a > tol:
+            if gc < gd:
+                b, d, gd = d, c, gc
+                c = b - shrink * (b - a)
+                gc = g(c)
+            else:
+                a, c, gc = c, d, gd
+                d = a + shrink * (b - a)
+                gd = g(d)
+        return 0.5 * (a + b)
+
     roots = []
     for i in range(points):
         if vals[i] == 0.0:
             roots.append(qs[i])
         elif i + 1 < points and vals[i + 1] != 0.0 and (vals[i] > 0) != (vals[i + 1] > 0):
-            a, b, fa = qs[i], qs[i + 1], vals[i]
-            while b - a > tol:
-                mid = 0.5 * (a + b)
-                fm = f(mid)
-                if fm == 0.0:
-                    a = b = mid
-                elif (fm > 0) == (fa > 0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            roots.append(0.5 * (a + b))
-    return roots
+            roots.append(bisect(qs[i], qs[i + 1]))
+        elif (
+            touch > 0
+            and 0 < i < points - 1
+            and all(v != 0.0 and (v > 0) == (vals[i] > 0) for v in (vals[i - 1], vals[i + 1]))
+            and abs(vals[i]) <= min(abs(vals[i - 1]), abs(vals[i + 1]))
+        ):
+            s = 1.0 if vals[i] > 0 else -1.0
+            q = least(lambda x: s * f(x), qs[i - 1], qs[i + 1])
+            depth = s * f(q)
+            if depth < 0:
+                roots += [bisect(qs[i - 1], q), bisect(q, qs[i + 1])]
+            elif depth <= s * 0.5 * (f(q - touch) + f(q + touch)) - depth:
+                roots.append(q)
+    return sorted(roots)
 
 
 def binom_stddev(n: int, p: float) -> float:

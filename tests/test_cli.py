@@ -528,12 +528,6 @@ class TestEstimate:
                   "--x-reads", str(xr), "--y-reads", str(xr), "-k", "8"])
         assert exc.value.code == 2
 
-    def test_mode_mismatch_is_usage_error(self, skewed_pair):
-        x, y = skewed_pair
-        with pytest.raises(SystemExit) as exc:
-            main(["estimate", "--estimator", "k1-gc", "--x", str(x), "--y", str(y), "--mode", "seq"])
-        assert exc.value.code == 2
-
     def test_missing_input_is_usage_error(self, skewed_pair):
         x, _ = skewed_pair
         with pytest.raises(SystemExit) as exc:

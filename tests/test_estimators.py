@@ -24,6 +24,8 @@ from mutrate.errors import (
     SingularDenominator,
 )
 from mutrate.estimators import (
+    DOUBLE_ROOT_TOL,
+    SEARCH_MAX,
     EstimatorId,
     SubsetSpec,
     estimate_general_k,
@@ -265,23 +267,30 @@ class TestGeneralK:
     # (1-q)^2 + 50(q/3)^2 falls from 1 to 0.85 at q = 0.15, then rises
     @example(case=(2, {"AA": 1, "CC": 50}, ["AA"], 0.9))  # two roots
     @example(case=(2, {"AA": 1, "CC": 50}, ["AA"], 0.5))  # none
+    # (1-q)^2 + 36(q/3)^2 - 0.8 = 5(q - 0.2)^2: a double root, no sign change
+    @example(case=(2, {"AA": 1, "CC": 36}, ["AA"], 0.8))
     def test_roots_against_scan_oracle(self, case):
-        """The smallest root and ``multiple_roots`` agree with a dense
-        sign-change scan of the moment equation, or both find no root."""
+        """The smallest root and ``multiple_roots`` agree with a dense scan
+        of the moment equation, or both find no root. The scan counts a
+        tangency as the estimator does: a root when its complex pair lies
+        within DOUBLE_ROOT_TOL of the real axis on the interval mapped to
+        [-1, 1]; such a root is known only to that width."""
         k, counts, kmers, target = case
         source = KmerTable.from_mapping(k, counts)
         profile = oracles.hamming_profile(counts, kmers)
         g = lambda q: moment(profile, q) - target  # noqa: E731
         # a root within rounding of an end may land on either side of it
-        assume(min(abs(g(0.0)), abs(g(0.75))) > 1e-6 * target)
-        roots = oracles.roots_by_scan(g, 0.0, 0.75)
+        assume(min(abs(g(0.0)), abs(g(SEARCH_MAX))) > 1e-6 * target)
+        touch = DOUBLE_ROOT_TOL * SEARCH_MAX / 2
+        roots = oracles.roots_by_scan(g, 0.0, SEARCH_MAX, touch=touch)
         subset = SubsetSpec.explicit(kmers)
         if not roots:
             with pytest.raises(NoRootInRange):
                 estimate_general_k(source, {kmers[0]: target}, subset)
             return
         r = estimate_general_k(source, {kmers[0]: target}, subset)
-        assert r.p_raw == pytest.approx(roots[0], abs=1e-11)
+        crossing = g(roots[0] - touch) * g(roots[0] + touch) < 0
+        assert r.p_raw == pytest.approx(roots[0], abs=1e-11 if crossing else touch)
         assert r.diagnostics.multiple_roots == (len(roots) > 1)
 
     @pytest.mark.parametrize("p", [0.001, 0.05, 0.2])

@@ -304,6 +304,94 @@ class TestTable:
             KmerTable(32, np.array([2**64 - 1, 0, 2**64 - 1], dtype=np.uint64), [1, 1, 1])
 
 
+@st.composite
+def join_cases(draw):
+    """Sorted unique ``keys`` and ``wanted`` drawn from one pool of packed
+    k-mers, values of either dtype, and a merge block small enough that a
+    few dozen keys cross several block edges."""
+    k = draw(st.sampled_from([3, 32]))
+    key = st.integers(0, 4**k - 1)
+    if k == 32:  # crowd the top too: keys past 2^63 compare as uint64 only
+        key |= st.integers(4**k - 40, 4**k - 1)
+    pool = draw(st.lists(key, max_size=60, unique=True))
+    shape = draw(st.sampled_from(["overlap", "identical", "disjoint"]))
+    in_keys = [draw(st.booleans()) for _ in pool]
+    keys = [v for v, take in zip(pool, in_keys) if take]
+    if shape == "identical":
+        wanted = keys
+    else:
+        wanted = [v for v, take in zip(pool, in_keys) if draw(st.booleans()) and (shape == "overlap" or not take)]
+    if draw(st.booleans()):
+        values = [draw(st.floats(0.0, 1e6)) for _ in keys]
+    else:
+        values = [draw(st.integers(1, 2**62)) for _ in keys]
+    block = draw(st.sampled_from([1, 2, 5, kmers._BLOCK]))
+    return sorted(keys), values, sorted(wanted), block
+
+
+def _as_arrays(keys, values, wanted):
+    # float values as in _mass_on's Mapping path, int64 as a table's counts
+    dtype = np.float64 if values and isinstance(values[0], float) else np.int64
+    return np.array(keys, dtype=np.uint64), np.array(values, dtype=dtype), np.array(wanted, dtype=np.uint64)
+
+
+class TestLookup:
+    @settings(max_examples=200, deadline=None)
+    @given(join_cases())
+    @example(([], [], [1, 2], 2))  # empty keys
+    @example(([1, 2], [3, 4], [], 2))  # empty wanted
+    @example(([1, 5, 9, 2**64 - 1], [1.5, 0.0, 2.5, 3.5], [1, 5, 9, 2**64 - 1], 1))  # identical, k = 32
+    @example(([2, 4, 6, 8], [1, 2, 3, 4], [1, 3, 5, 7, 9], 2))  # disjoint, interleaved
+    def test_against_dict_oracle(self, case):
+        """Both paths return the value stored at each wanted key, 0 where it
+        is absent, in the values' dtype, element by element."""
+        keys, values, wanted = _as_arrays(*case[:3])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kmers, "_BLOCK", case[3])
+            got = kmers.lookup(keys, values, wanted)
+        stored = dict(zip(keys.tolist(), values.tolist()))
+        want = np.array([stored.get(w, 0) for w in wanted.tolist()], dtype=values.dtype)
+        assert got.dtype == values.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_wanted", [99, 100, 101])
+    def test_either_side_of_the_size_rule(self, n_wanted):
+        """400 keys: 99 wanted keys are searched, 100 and 101 merged in blocks
+        of 8 wanted keys; every second wanted key is present."""
+        keys = np.arange(0, 800, 2, dtype=np.uint64)
+        values = np.arange(1, 401, dtype=np.int64)
+        wanted = np.array([4 * i + i % 2 for i in range(n_wanted)], dtype=np.uint64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kmers, "_BLOCK", 8)
+            got = kmers.lookup(keys, values, wanted)
+        assert got.tolist() == [0 if i % 2 else 2 * i + 1 for i in range(n_wanted)]
+
+    @pytest.mark.parametrize("layout", ["spread", "front"])
+    def test_memory_bounded_by_the_block(self, layout):
+        """Joining four times the keys takes no more memory beyond the
+        output: the merge holds one block of either side at a time, also
+        where the wanted keys leave most of the keys past their last one."""
+
+        def extra_bytes(n):
+            rng = np.random.default_rng(n)
+            keys = np.unique(rng.integers(0, 4**21, size=n, dtype=np.uint64))
+            if layout == "spread":  # half of x's keys survive on y, as at a high rate
+                wanted = np.union1d(keys[::2], rng.integers(0, 4**21, size=n // 2, dtype=np.uint64))
+            else:
+                wanted = keys[: keys.size // 3]
+            values = rng.integers(1, 100, size=keys.size)
+            tracemalloc.start()
+            try:
+                out = kmers.lookup(keys, values, wanted)
+                return tracemalloc.get_traced_memory()[1] - out.nbytes
+            finally:
+                tracemalloc.stop()
+
+        n = 4 * kmers._BLOCK  # several blocks at least
+        small, big = extra_bytes(n), extra_bytes(4 * n)
+        assert big < 1.25 * small
+
+
 class TestExpectedCount:
     @pytest.mark.parametrize("rate", [0.0, 0.05, 0.3])
     def test_matches_closed_form_oracle(self, rate):

@@ -293,6 +293,30 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate_iid_sequence(0, (0.25, 0.25, 0.25, 0.25), rng_seed=4)
 
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            (0.25, 0.25, 0.25, 0.25),
+            (0.4, 0.2, 0.2, 0.2),
+            (0.1, 0.2, 0.3, 0.4),
+            (0.5, 0.0, 0.25, 0.25),  # a base that never occurs
+            (0.0, 0.0, 0.0, 1.0),
+            (1.0, 0.0, 0.0, 0.0),
+            (0.3, 0.3, 0.3, 0.1 + 1e-10),  # sums to 1 within the tolerance, not exactly
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 11, 2**40 + 3])
+    def test_same_stream_as_rng_choice(self, dist, seed):
+        """The draw is rng.choice's, symbol for symbol, on this NumPy."""
+        p = np.asarray(dist)
+        want = np.random.default_rng(seed).choice(4, size=20_000, p=p / p.sum()).astype(np.uint8)
+        assert np.array_equal(generate_iid_sequence(20_000, dist, rng_seed=seed).codes, want)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            generate_iid_sequence(10, (bad, 0.5, 0.25, 0.25), rng_seed=4)
+
 
 @settings(max_examples=25)
 @given(dna, st.floats(0.0, 0.99), st.integers(0, 2**32))

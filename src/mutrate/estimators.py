@@ -167,7 +167,8 @@ def _mass_on(mutated: MutatedCounts, source: KmerTable, keys: np.ndarray) -> flo
             raise ValueError(
                 f"mutated table has provenance {mutated.provenance!r}, source has {source.provenance!r}"
             )
-        return float(lookup(mutated.keys, mutated.counts, keys).astype(np.float64).sum())
+        # an exact int64 sum: a table's counts sum to at most 2^63 - 1
+        return float(lookup(mutated.keys, mutated.counts, keys).sum())
     for kmer, c in mutated.items():
         if len(kmer) != k:
             raise MismatchedK(f"k-mer {kmer!r} has length {len(kmer)}, expected {k}")

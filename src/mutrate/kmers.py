@@ -2,12 +2,16 @@
 
 k-mers are packed two bits per symbol (A=00, C=01, G=10, T=11, leftmost
 symbol in the highest bits) into uint64, exact for k up to 32; table keys
-are sorted uint64 arrays. Counting sorts the packed windows in place and
-tallies the runs of equal keys; nothing materializes all 4^k strings.
+are sorted uint64 arrays. Counting packs the windows in cache-sized pieces
+into one array, cuts that into key ranges and sorts each, on one thread per
+CPU, then tallies the runs of equal keys; nothing materializes all 4^k
+strings.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Mapping
@@ -107,32 +111,126 @@ def lookup(keys: np.ndarray, values: np.ndarray, wanted) -> np.ndarray:
     return out
 
 
-def _pack_read_windows(matrix: np.ndarray, k: int) -> np.ndarray:
-    """Pack the (L - k + 1) linear windows of every read; flat uint64 result. Windows
-    of 2m symbols are those of m shifted 2m bits OR those m columns on, in the narrowest
-    dtype that fits; the levels at the binary digits of k join lowest digit first."""
-    N, L = matrix.shape
-    if k > L:
-        raise ValueError(f"k={k} exceeds read length {L}")
-    res = np.zeros((N, L - k + 1), dtype=np.uint64)
-    level, m = matrix, 1
+# most windows one packing piece holds: a piece's level temporaries stay in cache
+_PIECE = 1 << 16
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _pack_windows(block: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Pack the linear windows of every row of ``block`` into ``out``, of shape
+    (rows, cols - k + 1). Windows of 2m symbols are those of m shifted 2m bits OR
+    those m columns on, in the narrowest dtype that fits; the levels at the binary
+    digits of k join lowest digit first."""
+    level, m = block, 1
     while True:
-        if k & m:  # the lower digits already fill the first k & (m - 1) symbols
-            res <<= np.uint64(2 * m)
-            res |= level[:, k & (m - 1) :][:, : res.shape[1]]
+        if k & m:
+            digit = level[:, k & (m - 1) :][:, : out.shape[1]]
+            if k & (m - 1):  # the lower digits already fill the first k & (m - 1) symbols
+                out <<= np.uint64(2 * m)
+                out |= digit
+            else:
+                out[...] = digit
         if 2 * m > k:
-            return res.reshape(-1)
+            return
         dt = np.min_scalar_type(4 ** (2 * m) - 1)  # NumPy 1 promotes uint64 op int64 to float64
         nxt = np.left_shift(level[:, :-m], dt.type(2 * m), dtype=dt)
         level, m = np.bitwise_or(nxt, level[:, m:], out=nxt), 2 * m
 
 
-def _tally(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values ascending and their counts; sorts ``vals`` in place."""
-    vals.sort()
-    # start of each run of equal values, then an end bound
-    bounds = np.flatnonzero(np.r_[vals.size > 0, vals[1:] != vals[:-1], True])
-    return vals[bounds[:-1]], np.diff(bounds)
+def _on_threads(pool, workers: int, task, spans) -> None:
+    """``task(*span)`` for every span, on this thread and ``workers`` of
+    ``pool``'s; a thread takes the next span whenever it is free, so a thread
+    that starts late or runs slowly takes fewer. Raises what a task raised."""
+    todo, taking = iter(spans), threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with taking:
+                span = next(todo, None)
+            if span is None:
+                return
+            task(*span)
+
+    helpers = [pool.submit(drain) for _ in range(workers)]
+    drain()
+    for done in helpers:
+        done.result()
+
+
+def _cut(vals: np.ndarray, edges: list[int]) -> None:
+    """Partition ``vals`` in place at the inner ``edges``: each then holds the
+    key a sort would put there, with no larger key before it and no smaller
+    one after. One single-cut ``partition`` per edge, bisecting the edges;
+    NumPy's partition at several cuts at once is an order slower."""
+    if len(edges) > 2:
+        mid = len(edges) // 2
+        vals[edges[0] : edges[-1]].partition(edges[mid] - edges[0])
+        _cut(vals, edges[: mid + 1])
+        _cut(vals, edges[mid:])
+
+
+def _count_windows(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct packed keys, ascending, and their counts over the L - k + 1
+    linear windows of every row of the (N, L) ``matrix``.
+
+    The windows are packed straight into one uint64 array, at most ``_PIECE``
+    at a time: a piece is a block of whole rows, or, for a row longer than a
+    piece, a run of its columns overlapping the next by k - 1 symbols. The
+    array is then cut into T key ranges of equal size, every key of a range
+    no larger than any key of the next, so that sorting each range sorts the
+    whole array; the runs of equal keys are tallied last. T is the number of
+    CPUs the process may run on, at most one per ``_PIECE`` windows. With
+    T > 1 the pieces are packed and the ranges sorted on this thread and
+    T - 1 others (NumPy's loops and sorts release the GIL); the result does
+    not depend on T.
+    """
+    N, L = matrix.shape
+    if k > L:
+        raise ValueError(f"k={k} exceeds read length {L}")
+    W = L - k + 1
+    n = N * W
+    out = np.empty(n, dtype=np.uint64)
+    grid = out.reshape(N, W)
+    cols = min(W, _PIECE)
+    rows = _PIECE // cols
+    pieces = [(r, c) for r in range(0, N, rows) for c in range(0, W, cols)]
+
+    def pack(r: int, c: int) -> None:
+        _pack_windows(matrix[r : r + rows, c : c + cols + k - 1], k, grid[r : r + rows, c : c + cols])
+
+    def sort(first: int, last: int) -> None:
+        out[first:last].sort()
+
+    T = max(1, min(_cpus(), n // _PIECE))
+    if T == 1:
+        for piece in pieces:
+            pack(*piece)
+        out.sort()
+    else:
+        # imported here, not at the top: it loads logging, several ms of every start
+        from concurrent.futures import ThreadPoolExecutor
+
+        edges = [n * i // T for i in range(T + 1)]
+        with ThreadPoolExecutor(T - 1) as pool:
+            _on_threads(pool, T - 1, pack, pieces)
+            _cut(out, edges)
+            _on_threads(pool, T - 1, sort, zip(edges, edges[1:]))
+    # a run of equal keys starts where a key differs from the one before it
+    starts = np.empty(n + 1, dtype=bool)
+    starts[0] = starts[n] = True
+    np.not_equal(out[1:], out[:-1], out=starts[1:n])
+    bounds = np.flatnonzero(starts)
+    del starts
+    keys = out[bounds[:-1]]
+    del out, grid  # free the windows before the counts are made
+    return keys, np.diff(bounds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,8 +337,8 @@ def count_kmers_sequence(x: CircularSequence, k: int) -> KmerTable:
     _check_k(k)
     if k > len(x):
         raise ValueError(f"k={k} exceeds sequence length {len(x)}")
-    vals = _pack_read_windows(np.concatenate([x.codes, x.codes[: k - 1]])[None, :], k)
-    return KmerTable(k, *_tally(vals), provenance="sequence")
+    keys, counts = _count_windows(np.concatenate([x.codes, x.codes[: k - 1]])[None, :], k)
+    return KmerTable(k, keys, counts, provenance="sequence")
 
 
 def count_kmers_reads(reads: ReadSet, k: int) -> KmerTable:
@@ -253,7 +351,7 @@ def count_kmers_reads(reads: ReadSet, k: int) -> KmerTable:
     if reads.num_reads == 0:
         keys, counts = np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64)
     else:
-        keys, counts = _tally(_pack_read_windows(reads.matrix, k))
+        keys, counts = _count_windows(reads.matrix, k)
     return KmerTable(k, keys, counts, "reads", reads.source_len)
 
 

@@ -1,3 +1,5 @@
+import concurrent.futures
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -25,6 +27,7 @@ from mutrate.model import (
     ReadSet,
     SubstitutionChannel,
     codes_to_string,
+    generate_iid_sequence,
     sample_reads,
     string_to_codes,
 )
@@ -253,6 +256,97 @@ class TestCounting:
         rs = sample_reads(x, 3, 5, SubstitutionChannel(0.0), rng_seed=2)
         with pytest.raises(ValueError):
             count_kmers_reads(rs, 4)
+
+
+def _rows(k, L, n, seed, lead=""):
+    """n random reads of length L, each starting with ``lead``."""
+    rng = np.random.default_rng(seed)
+    return k, [lead + codes_to_string(rng.integers(0, 4, L - len(lead), dtype=np.uint8)) for _ in range(n)]
+
+
+@st.composite
+def windows_case(draw):
+    """k, and 1-4 reads with up to 141 windows each: up to two pieces of 64."""
+    k = draw(st.integers(1, MAX_K))
+    L = draw(st.integers(k, k + 140))
+    return k, draw(st.lists(st.text(alphabet="ACGT", min_size=L, max_size=L), min_size=1, max_size=4))
+
+
+class TestPiecesAndThreads:
+    """Counts do not depend on the piece size or on the number of threads."""
+
+    @settings(deadline=None)
+    @given(windows_case(), st.sampled_from([1, 3, 64]), st.sampled_from([1, 2, 3, 5]))
+    @example(_rows(5, 67, 3, 1), 64, 2)  # W = 63, just under a piece
+    @example(_rows(5, 68, 3, 2), 64, 2)  # W = 64, one piece per read
+    @example(_rows(5, 69, 3, 3), 64, 3)  # W = 65, just over a piece
+    @example(_rows(7, 100, 1, 4), 3, 2)  # one read, cut into columns
+    @example(_rows(21, 300, 2, 5), 64, 3)  # reads longer than a piece
+    @example(_rows(32, 160, 3, 6, lead="GT"), 64, 2)  # keys >= 2^63, column cuts
+    @example(_rows(32, 32, 4, 7, lead="T"), 1, 3)  # k = L, keys >= 2^63
+    @example(_rows(12, 40, 1, 8), 64, 2)  # a sequence shorter than a piece
+    def test_against_oracle(self, case, piece, cpus):
+        k, rows = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kmers, "_PIECE", piece)
+            mp.setattr(kmers, "_cpus", lambda: cpus)
+            reads = count_kmers_reads(ReadSet(np.array([string_to_codes(r) for r in rows]), 100), k)
+            seq = count_kmers_sequence(CircularSequence.from_string(rows[0]), k)
+        expected = Counter()
+        for r in rows:
+            expected.update(oracles.linear_kmer_counts(r, k))
+        assert oracles.table_counts(reads) == dict(expected)
+        assert oracles.table_counts(seq) == oracles.circular_kmer_counts(rows[0], k)
+
+    def test_one_thread_runs_without_a_pool(self, monkeypatch):
+        """One CPU, or fewer than two pieces of windows, sorts inline."""
+
+        def no_pool(*args):
+            raise AssertionError("a pool was created")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        x = CircularSequence.from_string("ACGTTGCAAG" * 10)
+        monkeypatch.setattr(kmers, "_PIECE", 4)
+        monkeypatch.setattr(kmers, "_cpus", lambda: 1)
+        assert count_kmers_sequence(x, 5).total == 100
+        monkeypatch.setattr(kmers, "_PIECE", 64)
+        monkeypatch.setattr(kmers, "_cpus", lambda: 4)
+        assert count_kmers_sequence(x, 5).total == 100
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        """Pieces packed on the pool's threads raise; the count raises it."""
+        failed = threading.Event()
+        pack = kmers._pack_windows
+
+        def pack_or_fail(block, k, out):
+            if threading.current_thread() is threading.main_thread():
+                assert failed.wait(timeout=10), "no piece reached a pool thread"
+                return pack(block, k, out)
+            failed.set()
+            raise RuntimeError("worker failed")
+
+        monkeypatch.setattr(kmers, "_pack_windows", pack_or_fail)
+        monkeypatch.setattr(kmers, "_PIECE", 4)
+        monkeypatch.setattr(kmers, "_cpus", lambda: 3)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            count_kmers_sequence(CircularSequence.from_string("ACGTTGCAAG" * 10), 5)
+
+    def test_peak_is_the_windows_buffer_and_its_tally(self):
+        """A count holds its n windows (8 bytes each), one run-start flag per
+        window and, for the d distinct keys, their run bounds, keys and counts
+        (8 bytes each); packing adds at most two levels of one piece (12 bytes
+        a window at most) on each thread."""
+        x = generate_iid_sequence(20_000, (0.4, 0.2, 0.2, 0.2), rng_seed=9)
+        rs = sample_reads(x, 1000, 1000, SubstitutionChannel(0.0), rng_seed=10)
+        tracemalloc.start()
+        try:
+            t = count_kmers_reads(rs, 21)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, d = t.total, t.distinct
+        threads = min(kmers._cpus(), n // kmers._PIECE)
+        assert peak <= 9 * n + 24 * (d + 1) + 12 * kmers._PIECE * threads
 
 
 class TestTable:

@@ -24,7 +24,8 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebinterpolate, chebroots
 
 from .errors import EmptyRetainedSet, MismatchedK, NoRootInRange, SingularDenominator
-from .kmers import KmerTable, decode_kmer, distance_profile, encode_kmer, lookup
+from .kmers import KmerTable, circular_row, decode_kmer, distance_profile, encode_kmer, lookup, window_mass
+from .model import CircularSequence, ReadSet
 
 SEARCH_MAX = 0.75
 # generous bounds, on [lo, hi] mapped to [-1, 1], on how far rounding moves a
@@ -33,7 +34,7 @@ SEARCH_MAX = 0.75
 SIMPLE_ROOT_TOL = np.finfo(np.float64).eps ** (1 / 2)
 DOUBLE_ROOT_TOL = np.finfo(np.float64).eps ** (1 / 3)
 
-MutatedCounts = Union[KmerTable, Mapping[str, float]]
+MutatedCounts = Union[KmerTable, ReadSet, CircularSequence, Mapping[str, float]]
 
 
 class EstimatorId(str, Enum):
@@ -151,24 +152,33 @@ def estimate_k1_reads(h_base: float, h_prime_base: float, num_reads: int, read_l
 
 
 # ---------------------------------------------------------------------------
-# mutated-side access: integer tables or {k-mer: expected count} mappings
+# mutated-side access: integer tables, reads or sequences never counted, or
+# {k-mer: expected count} mappings
 
 
 def _mass_on(mutated: MutatedCounts, source: KmerTable, keys: np.ndarray) -> float:
     """Mutated-side mass at the packed ``keys``, sorted ascending and
-    unique, summed in their order (absent keys add zero). The mutated side
-    must share the source's k and, for a table, its provenance (reads or
-    sequence); a mapping must hold distinct k-mers with nonnegative counts."""
+    unique, summed in their order (absent keys add zero). A read set or a
+    sequence is not counted: its mass is how many of its windows (a
+    sequence's circular ones) have a key in ``keys`` (:func:`window_mass`).
+    The mutated side must share the source's k and its provenance: reads
+    for a read set or read table, sequence for a sequence or sequence table.
+    A mapping must hold distinct k-mers with nonnegative counts."""
     k = source.k
-    if isinstance(mutated, KmerTable):
-        if mutated.k != k:
-            raise MismatchedK(f"mutated table has k={mutated.k}, source has k={k}")
-        if mutated.provenance != source.provenance:
-            raise ValueError(
-                f"mutated table has provenance {mutated.provenance!r}, source has {source.provenance!r}"
-            )
-        # an exact int64 sum: a table's counts sum to at most 2^63 - 1
-        return float(lookup(mutated.keys, mutated.counts, keys).sum())
+    if not isinstance(mutated, Mapping):
+        if isinstance(mutated, KmerTable):
+            if mutated.k != k:
+                raise MismatchedK(f"mutated table has k={mutated.k}, source has k={k}")
+            provenance = mutated.provenance
+        else:
+            provenance = "reads" if isinstance(mutated, ReadSet) else "sequence"
+        if provenance != source.provenance:
+            raise ValueError(f"mutated table has provenance {provenance!r}, source has {source.provenance!r}")
+        if isinstance(mutated, KmerTable):
+            # an exact int64 sum: a table's counts sum to at most 2^63 - 1
+            return float(lookup(mutated.keys, mutated.counts, keys).sum())
+        rows = mutated.matrix if isinstance(mutated, ReadSet) else circular_row(mutated, k)
+        return float(window_mass(rows, k, keys))
     for kmer, c in mutated.items():
         if len(kmer) != k:
             raise MismatchedK(f"k-mer {kmer!r} has length {len(kmer)}, expected {k}")
@@ -385,11 +395,11 @@ def estimate_large_k_reads(source: KmerTable, mutated: MutatedCounts, error_rate
     The threshold from :func:`select_lambda` keeps k-mers that are almost
     surely real sequence content; the ratio of mutated-side to source-side
     mass on that set falls like (1-p)^k because sequencer noise contributes
-    the same factor to both sides. A mutated :class:`KmerTable` may come
-    from a different read volume: a read table's total is its window count
-    N * (L - k + 1), so its surviving mass is scaled by source.total /
-    mutated.total, and an empty one is an error. A mapping of expected
-    counts is used as is.
+    the same factor to both sides. A mutated read set or read table may
+    come from a different read volume, its window count: N * (L - k + 1)
+    for a read set, the total for a table. Its surviving mass is scaled by
+    source.total / that count, and an empty one is an error. A mapping of
+    expected counts is used as is.
 
     ``error_rate`` may safely be an upper bound rather than the exact
     sequencer rate: overstating s only lowers the mass floor, so the chosen
@@ -404,10 +414,14 @@ def estimate_large_k_reads(source: KmerTable, mutated: MutatedCounts, error_rate
     if den <= 0:
         raise EmptyRetainedSet("threshold retained no k-mer mass")
     num = _mass_on(mutated, source, retained)
-    if isinstance(mutated, KmerTable):
-        if mutated.total == 0:
+    if not isinstance(mutated, Mapping):  # a read set or read table, as _mass_on checked
+        if isinstance(mutated, KmerTable):
+            windows = mutated.total
+        else:
+            windows = mutated.num_reads * (mutated.read_len - source.k + 1)
+        if windows == 0:
             raise EmptyRetainedSet("mutated read table is empty")
-        num *= source.total / mutated.total
+        num *= source.total / windows
     p_raw = 1.0 - (num / den) ** (1.0 / source.k)
     diag = Diagnostics(lambda_threshold=sel.lam, retained_mass=den, lambda_fallback=sel.fallback)
     return _result(EstimatorId.LARGE_K_READS, p_raw, diag)

@@ -34,6 +34,7 @@ from .estimators import (
     EstimatorId,
     KMER_BASED,
     READ_BASED,
+    SINGLE_BASE,
     SubsetSpec,
     estimate_general_k,
     estimate_k1_gc,
@@ -87,8 +88,8 @@ def choose_k1_base(x: CircularSequence | ReadSet) -> str:
     """Base whose frequency in a sequence or its reads deviates most from
     1/4 (ties go to earlier alphabet order). The single-base estimators are
     undefined at exactly 1/4 and noisiest near it, so pick the farthest base."""
-    codes = _codes(x).reshape(-1)
-    counts = np.bincount(codes, minlength=4)
+    codes = _codes(x)
+    counts = np.array([np.count_nonzero(codes == c) for c in range(4)])
     dev = np.abs(counts / max(codes.size, 1) - 0.25)
     return ALPHABET[int(np.argmax(dev))]
 
@@ -139,9 +140,11 @@ def estimate(
     Each side is a sequence, read set or k-mer table, of a kind ``est``
     takes (:func:`check_kind`). ``base`` is the nucleotide the
     single-base estimators count (None picks it with
-    :func:`choose_k1_base` on ``x``). A k-mer estimator uses a table as is
-    and counts the others at ``k``, which defaults to the source table's k
-    for the mutated side. ``s`` is the sequencer error rate of
+    :func:`choose_k1_base` on ``x``). A k-mer estimator uses a table x as
+    is and counts any other x at ``k``; it never counts y, but measures a
+    sequence's or read set's mass on the keys it needs straight from its
+    windows, at x's k (:func:`mutrate.kmers.window_mass`), and a table y
+    must have x's k. ``s`` is the sequencer error rate of
     large-k-reads and ``subset`` the general-k subset. x and y must have
     the same G (a sequence's length, a read set's or a table's
     ``source_len``) where both are known, because a substitution keeps the
@@ -154,14 +157,15 @@ def estimate(
         raise MutrateError(f"x has {x_len} bases but y has {y_len}; a substitution keeps the length")
     if est in KMER_BASED:
         x_table = as_table(x, k)
-        y_table = as_table(y, x_table.k)
+        if isinstance(y, KmerTable):
+            as_table(y, x_table.k)  # checks its k
         if est is EstimatorId.GENERAL_K:
-            return estimate_general_k(x_table, y_table, subset)
+            return estimate_general_k(x_table, y, subset)
         if est is EstimatorId.LARGE_K_SEQ:
-            return estimate_large_k_seq(x_table, y_table)
+            return estimate_large_k_seq(x_table, y)
         if s is None:
             raise ValueError("large-k-reads needs the sequencer error rate s")
-        return estimate_large_k_reads(x_table, y_table, s)
+        return estimate_large_k_reads(x_table, y, s)
     if est is EstimatorId.K1_GC:
         return estimate_k1_gc(x.gc_fraction(), y.gc_fraction())
     code = encode_base(base or choose_k1_base(x))
@@ -418,7 +422,7 @@ class _SeedBook:
 class _Reference:
     index: int
     x: CircularSequence
-    base: str
+    base: str | None  # None when no estimator of the sweep counts one base
     x_tables: dict[int, KmerTable] = field(default_factory=dict)
 
     def table(self, k: int) -> KmerTable:
@@ -443,7 +447,9 @@ def _load_references(config: ExperimentConfig, seeds: _SeedBook) -> list[_Refere
                 read_len = getattr(config, name)
                 if read_len is not None and read_len > len(x):
                     raise ValueError(f"reference {i}: {name} {read_len} exceeds its length {len(x)}")
-        base = config.k1_base if config.k1_base != "auto" else choose_k1_base(x)
+        base = None if config.k1_base == "auto" else config.k1_base
+        if base is None and not SINGLE_BASE.isdisjoint(config.estimators):
+            base = choose_k1_base(x)
         refs.append(_Reference(i, x, base))
     return refs
 

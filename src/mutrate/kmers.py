@@ -6,12 +6,20 @@ are sorted uint64 arrays. Counting packs the windows in cache-sized pieces
 into one array, cuts that into key ranges and sorts each, on one thread per
 CPU, then tallies the runs of equal keys; nothing materializes all 4^k
 strings.
+
+The mutated side y is never counted: the estimators need only its mass on
+a set of wanted keys, which :func:`window_mass` measures from y's windows.
+Where the windows outnumber the wanted keys, a hashed filter drops most of
+them piece by piece and a fixed buffer of candidates is tallied as it
+fills, so memory is O(wanted keys + 2 MiB buffer + one piece per thread),
+not the 8 bytes a window a count holds.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Mapping
@@ -164,6 +172,21 @@ def _on_threads(pool, workers: int, task, spans) -> None:
         done.result()
 
 
+@contextmanager
+def _workers(T: int):
+    """``run(task, spans)``, which calls ``task(*span)`` for every span: in
+    turn when T is 1, else on this thread and T - 1 pooled ones
+    (:func:`_on_threads`)."""
+    if T == 1:
+        yield lambda task, spans: [task(*span) for span in spans]
+        return
+    # imported here, not at the top: it loads logging, several ms of every start
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(T - 1) as pool:
+        yield lambda task, spans: _on_threads(pool, T - 1, task, spans)
+
+
 def _cut(vals: np.ndarray, edges: list[int]) -> None:
     """Partition ``vals`` in place at the inner ``edges``: each then holds the
     key a sort would put there, with no larger key before it and no smaller
@@ -176,17 +199,41 @@ def _cut(vals: np.ndarray, edges: list[int]) -> None:
         _cut(vals, edges[mid:])
 
 
+def _threads(n: int) -> int:
+    """Threads for a pass over ``n`` windows: the CPUs this process may run
+    on, at most one per ``_PIECE`` windows, and at least one."""
+    return max(1, min(_cpus(), n // _PIECE))
+
+
+def _pieces(N: int, W: int) -> tuple[int, int, list[tuple[int, int]]]:
+    """Rows and columns of windows a piece spans, and the (row, column) where
+    each piece starts: a block of whole rows, or, for a row longer than a
+    piece, a run of its columns."""
+    cols = min(W, _PIECE)
+    rows = _PIECE // cols
+    return rows, cols, [(r, c) for r in range(0, N, rows) for c in range(0, W, cols)]
+
+
+def _run_starts(vals: np.ndarray) -> np.ndarray:
+    """Where a run of equal keys of the sorted ``vals`` starts: a key that
+    differs from the one before it; one flag more, set, ends the last run."""
+    n = vals.size
+    starts = np.empty(n + 1, dtype=bool)
+    starts[0] = starts[n] = True
+    np.not_equal(vals[1:], vals[:-1], out=starts[1:n])
+    return starts
+
+
 def _count_windows(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct packed keys, ascending, and their counts over the L - k + 1
     linear windows of every row of the (N, L) ``matrix``.
 
-    The windows are packed straight into one uint64 array, at most ``_PIECE``
-    at a time: a piece is a block of whole rows, or, for a row longer than a
-    piece, a run of its columns overlapping the next by k - 1 symbols. The
-    array is then cut into T key ranges of equal size, every key of a range
-    no larger than any key of the next, so that sorting each range sorts the
-    whole array; the runs of equal keys are tallied last. T is the number of
-    CPUs the process may run on, at most one per ``_PIECE`` windows. With
+    The windows are packed straight into one uint64 array, one piece of at
+    most ``_PIECE`` windows at a time (:func:`_pieces`); a piece that is a
+    run of columns overlaps the next by k - 1 symbols. The array is then cut
+    into T key ranges of equal size, every key of a range no larger than
+    any key of the next, so that sorting each range sorts the whole array;
+    the runs of equal keys are tallied last. T is :func:`_threads`. With
     T > 1 the pieces are packed and the ranges sorted on this thread and
     T - 1 others (NumPy's loops and sorts release the GIL); the result does
     not depend on T.
@@ -198,9 +245,7 @@ def _count_windows(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     n = N * W
     out = np.empty(n, dtype=np.uint64)
     grid = out.reshape(N, W)
-    cols = min(W, _PIECE)
-    rows = _PIECE // cols
-    pieces = [(r, c) for r in range(0, N, rows) for c in range(0, W, cols)]
+    rows, cols, pieces = _pieces(N, W)
 
     def pack(r: int, c: int) -> None:
         _pack_windows(matrix[r : r + rows, c : c + cols + k - 1], k, grid[r : r + rows, c : c + cols])
@@ -208,29 +253,105 @@ def _count_windows(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     def sort(first: int, last: int) -> None:
         out[first:last].sort()
 
-    T = max(1, min(_cpus(), n // _PIECE))
-    if T == 1:
-        for piece in pieces:
-            pack(*piece)
-        out.sort()
-    else:
-        # imported here, not at the top: it loads logging, several ms of every start
-        from concurrent.futures import ThreadPoolExecutor
-
-        edges = [n * i // T for i in range(T + 1)]
-        with ThreadPoolExecutor(T - 1) as pool:
-            _on_threads(pool, T - 1, pack, pieces)
-            _cut(out, edges)
-            _on_threads(pool, T - 1, sort, zip(edges, edges[1:]))
-    # a run of equal keys starts where a key differs from the one before it
-    starts = np.empty(n + 1, dtype=bool)
-    starts[0] = starts[n] = True
-    np.not_equal(out[1:], out[:-1], out=starts[1:n])
+    T = _threads(n)
+    edges = [n * i // T for i in range(T + 1)]
+    with _workers(T) as run:
+        run(pack, pieces)
+        _cut(out, edges)
+        run(sort, zip(edges, edges[1:]))
+    starts = _run_starts(out)
+    keys = out[starts[:n]]
+    del out, grid  # free the windows before the run bounds are made
     bounds = np.flatnonzero(starts)
     del starts
-    keys = out[bounds[:-1]]
-    del out, grid  # free the windows before the counts are made
     return keys, np.diff(bounds)
+
+
+# windows are filtered, not counted, from this many windows a wanted key up:
+# on 1e6 windows at k = 21, filtering takes 45 ms against 47 for a count at 2
+# windows a key, and 65 against 51 at 1
+_FILTER_RATIO = 2
+# hash table slots a wanted key, at least: at most 1 in 8 unwanted windows passes
+_SLOTS_PER_KEY = 8
+# most windows that pass the filter held between two tallies, 2 MiB of uint64
+_CANDIDATES = 1 << 18
+# odd multiplier of the multiply-shift hash, 2^64 over the golden ratio
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _slots(keys: np.ndarray, shift: np.uint64) -> np.ndarray:
+    """Multiply-shift hash of each key: the top 64 - ``shift`` bits of
+    key x ``_MIX`` mod 2^64, as int64 indices."""
+    h = keys * _MIX
+    h >>= shift
+    return h.view(np.int64)
+
+
+def window_mass(matrix: np.ndarray, k: int, wanted: np.ndarray) -> int:
+    """How many of the L - k + 1 linear windows of every row of the (N, L)
+    ``matrix`` have a packed key in ``wanted`` (sorted ascending, unique).
+
+    The count is exact; the sizes pick one of two paths:
+
+    * sort: with fewer than ``_FILTER_RATIO`` windows a wanted key, the
+      windows are counted (:func:`_count_windows`) and the wanted keys
+      looked up (:func:`lookup`);
+    * filter: otherwise. Pieces of windows are packed as for a count, on as
+      many threads (:func:`_threads`). A table of at least
+      ``_SLOTS_PER_KEY`` slots a wanted key marks the slots their
+      multiply-shift hashes fall in; a window whose slot is unmarked is not
+      wanted and is dropped. The rest gather in a buffer of ``_CANDIDATES``
+      keys, which is sorted, tallied and looked up in ``wanted`` whenever it
+      fills, and once at the end. Memory is the table, the buffer and one
+      piece per thread, however many windows there are.
+
+    A matrix of no rows has no windows, whatever its width, as a read set
+    of no reads has none (:func:`count_kmers_reads`).
+    """
+    _check_k(k)
+    N, L = matrix.shape
+    if N and k > L:
+        raise ValueError(f"k={k} exceeds read length {L}")
+    W = L - k + 1
+    n = N * W
+    if n == 0 or wanted.size == 0:
+        return 0
+    if n < _FILTER_RATIO * wanted.size:
+        keys, counts = _count_windows(matrix, k)
+        return int(lookup(keys, counts, wanted).sum())
+    bits = (_SLOTS_PER_KEY * wanted.size - 1).bit_length()
+    shift = np.uint64(64 - bits)
+    table = np.zeros(1 << bits, dtype=bool)
+    table[_slots(wanted, shift)] = True
+    buffer = np.empty(min(n, _CANDIDATES), dtype=np.uint64)
+    filled = mass = 0
+    adding = threading.Lock()
+    rows, cols, pieces = _pieces(N, W)
+
+    def tally() -> int:
+        cands = buffer[:filled]
+        cands.sort()
+        starts = _run_starts(cands)
+        return int(lookup(cands[starts[:-1]], np.diff(np.flatnonzero(starts)), wanted).sum())
+
+    def scan(r: int, c: int) -> None:
+        nonlocal filled, mass
+        block = matrix[r : r + rows, c : c + cols + k - 1]
+        win = np.empty((block.shape[0], block.shape[1] - k + 1), dtype=np.uint64)
+        _pack_windows(block, k, win)
+        win = win.reshape(-1)
+        kept = win[table[_slots(win, shift)]]
+        with adding:
+            while kept.size:
+                take = min(kept.size, buffer.size - filled)
+                buffer[filled : filled + take] = kept[:take]
+                filled, kept = filled + take, kept[take:]
+                if filled == buffer.size:
+                    mass, filled = mass + tally(), 0
+
+    with _workers(_threads(n)) as run:
+        run(scan, pieces)
+    return mass + tally()
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,11 +455,17 @@ class KmerTable:
 
 def count_kmers_sequence(x: CircularSequence, k: int) -> KmerTable:
     """Counts over all ``len(x)`` circular windows of ``x``; totals to len(x)."""
+    keys, counts = _count_windows(circular_row(x, k), k)
+    return KmerTable(k, keys, counts, provenance="sequence")
+
+
+def circular_row(x: CircularSequence, k: int) -> np.ndarray:
+    """``x`` extended by its first k - 1 symbols, as a one-row matrix: the
+    row's linear windows are ``x``'s ``len(x)`` circular ones."""
     _check_k(k)
     if k > len(x):
         raise ValueError(f"k={k} exceeds sequence length {len(x)}")
-    keys, counts = _count_windows(np.concatenate([x.codes, x.codes[: k - 1]])[None, :], k)
-    return KmerTable(k, keys, counts, provenance="sequence")
+    return np.concatenate([x.codes, x.codes[: k - 1]])[None, :]
 
 
 def count_kmers_reads(reads: ReadSet, k: int) -> KmerTable:

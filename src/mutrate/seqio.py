@@ -173,6 +173,11 @@ _BLOCK_BYTES = 1 << 18
 _QUAD = _CODE_TO_BYTE[(np.arange(256)[:, None] >> np.arange(6, -1, -2)) & 3].view(np.uint32).ravel()
 
 
+# The table reader decodes this many rows at a time, so its temporaries do
+# not grow with the file.
+_READ_BLOCK_ROWS = 1 << 16
+
+
 def _block_rows(width: int) -> int:
     """How many rows of ``width`` bytes a writer formats at a time."""
     return max(1, _BLOCK_BYTES // width)
@@ -256,32 +261,35 @@ def read_kmer_table(path: str | Path) -> KmerTable:
     path = Path(path)
     header, _, raw, starts, ends = _split_rows(path, path.read_bytes())
     k, total, provenance, g = _table_header(header, str(path))
-    # rows before the first of a bad width can be read column by column
-    ndigits = ends - starts - (k + 1)
-    n = _first((ndigits < 1) | (ndigits > _MAX_COUNT_DIGITS), starts.size)
-    first, ndigits = starts[:n], ndigits[:n]
-    keys = np.zeros(n, dtype=np.uint64)
-    symbols = np.zeros(n, dtype=np.uint8)  # OR of a row's codes: above 3 unless all are bases
-    for j in range(k):
-        codes = _BYTE_TO_CODE.take(raw[first + j])
-        symbols |= codes
-        keys <<= np.uint64(2)
-        keys |= codes
-    bad = (symbols > 3) | (raw[first + k] != _TAB)
-    # digits right to left; a row drops out after its last digit. Any 19
-    # digits fit in uint64, so a count past int64 is caught, not wrapped.
-    counts = np.zeros(n, dtype=np.uint64)
-    pos, rows = ends[:n] - 1, np.arange(n)
-    for d in range(int(ndigits.max()) if n else 0):
-        digit = raw[pos] - np.uint8(ord("0"))  # non-digits wrap above 9
-        bad[rows] |= digit > 9
-        counts[rows] += digit.astype(np.uint64) * _POW10[d]
-        live = ndigits[rows] > d + 1
-        pos, rows = pos[live] - 1, rows[live]
-    n = _first(bad | (counts == 0) | (counts > np.uint64(_INT64_MAX)), n)
-    if n < starts.size:
-        row = raw[starts[n] : ends[n]]
-        raise ValueError(f"{path}, line {_line(raw, starts[n])}: {_table_row_error(row, k)}")
+    keys = np.zeros(starts.size, dtype=np.uint64)
+    counts = np.zeros(starts.size, dtype=np.uint64)
+    for b in range(0, starts.size, _READ_BLOCK_ROWS):
+        size = min(_READ_BLOCK_ROWS, starts.size - b)
+        # rows before the first of a bad width can be read column by column
+        ndigits = ends[b : b + size] - starts[b : b + size] - (k + 1)
+        n = _first((ndigits < 1) | (ndigits > _MAX_COUNT_DIGITS), size)
+        first, ndigits = starts[b : b + n], ndigits[:n]
+        block_keys, block_counts = keys[b : b + n], counts[b : b + n]
+        symbols = np.zeros(n, dtype=np.uint8)  # OR of a row's codes: above 3 unless all are bases
+        for j in range(k):
+            codes = _BYTE_TO_CODE.take(raw[first + j])
+            symbols |= codes
+            block_keys <<= np.uint64(2)
+            block_keys |= codes
+        bad = (symbols > 3) | (raw[first + k] != _TAB)
+        # digits right to left; a row drops out after its last digit. Any 19
+        # digits fit in uint64, so a count past int64 is caught, not wrapped.
+        pos, rows = ends[b : b + n] - 1, np.arange(n)
+        for d in range(int(ndigits.max()) if n else 0):
+            digit = raw[pos] - np.uint8(ord("0"))  # non-digits wrap above 9
+            bad[rows] |= digit > 9
+            block_counts[rows] += digit.astype(np.uint64) * _POW10[d]
+            live = ndigits[rows] > d + 1
+            pos, rows = pos[live] - 1, rows[live]
+        n = _first(bad | (block_counts == 0) | (block_counts > np.uint64(_INT64_MAX)), n)
+        if n < size:
+            row = raw[starts[b + n] : ends[b + n]]
+            raise ValueError(f"{path}, line {_line(raw, starts[b + n])}: {_table_row_error(row, k)}")
     if np.any(keys[1:] <= keys[:-1]):  # KmerTable sorts them; a repeat is named here
         order = np.argsort(keys, kind="stable")
         repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]

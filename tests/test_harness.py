@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from mutrate import harness
+from mutrate import harness, kmers
 from mutrate.errors import (
     EmptyRetainedSet,
     FastaParseError,
@@ -13,7 +13,7 @@ from mutrate.errors import (
     NoRootInRange,
     SingularDenominator,
 )
-from mutrate.estimators import EstimatorId, SubsetSpec
+from mutrate.estimators import SINGLE_BASE, EstimatorId, SubsetSpec
 from mutrate.harness import (
     DEFAULT_COVERAGE,
     DEFAULT_READ_LEN,
@@ -24,6 +24,7 @@ from mutrate.harness import (
     IidSource,
     Mode,
     TrialRecord,
+    as_table,
     box_stats,
     choose_k1_base,
     derive_seed,
@@ -616,6 +617,17 @@ def test_choose_k1_base_picks_most_skewed():
     assert choose_k1_base(reads) == "T"
 
 
+@pytest.mark.parametrize(
+    "estimators", [(EstimatorId.GENERAL_K, EstimatorId.LARGE_K_SEQ), (EstimatorId.K1_SINGLE, EstimatorId.K1_GC)]
+)
+def test_k1_base_is_picked_only_for_a_single_base_estimator(monkeypatch, estimators):
+    picked = []
+    monkeypatch.setattr(harness, "choose_k1_base", lambda x: picked.append(len(x)) or "A")
+    cfg = nonseq_config(estimators=estimators, k_values=(8,), trials_per_point=1)
+    run_experiment(cfg)
+    assert picked == ([4000] if SINGLE_BASE & set(estimators) else [])
+
+
 class TestEstimateDispatch:
     @pytest.fixture
     def pair(self):
@@ -715,6 +727,54 @@ class TestEstimateDispatch:
         data = {"x": self._KINDS[taken](x), "y": self._KINDS[taken](x), side: self._KINDS[wrong](x)}
         with pytest.raises(ValueError, match=f"^{est.value} does not take {wrong} as {side}$"):
             estimate(est, data["x"], data["y"], k=10, s=0.0, base="A")
+
+    @pytest.mark.parametrize("ratio", [0, 2**62], ids=["filtered", "counted"])
+    @pytest.mark.parametrize(
+        "est, k, subset",
+        [
+            (EstimatorId.LARGE_K_SEQ, 12, None),
+            (EstimatorId.GENERAL_K, 6, SubsetSpec.top(50)),
+            (EstimatorId.LARGE_K_READS, 20, None),
+        ],
+    )
+    def test_raw_y_and_its_table_agree(self, pair, monkeypatch, est, k, subset, ratio):
+        """y is never counted; its mass read from its windows, on either
+        path of window_mass, gives the estimate its table gives, bit for bit."""
+        x, y = pair
+        if est is EstimatorId.LARGE_K_READS:  # of different read volumes
+            x = sample_reads(x, 100, 400, SubstitutionChannel(0.01), rng_seed=3)
+            y = sample_reads(y, 120, 250, SubstitutionChannel(0.01), rng_seed=4)
+        y_table = as_table(y, k)
+        monkeypatch.setattr(kmers, "_FILTER_RATIO", ratio)
+        from_raw = estimate(est, x, y, k=k, s=0.01, subset=subset)
+        assert from_raw == estimate(est, x, y_table, k=k, s=0.01, subset=subset)
+        assert from_raw == estimate(est, as_table(x, k), y, s=0.01, subset=subset)
+
+    @pytest.mark.parametrize(
+        "est, subset", [(EstimatorId.LARGE_K_SEQ, None), (EstimatorId.GENERAL_K, SubsetSpec.top(1))]
+    )
+    def test_sequence_y_shorter_than_k_fails_as_its_count(self, est, subset):
+        x_table = KmerTable.from_mapping(5, {"ACGTA": 3})  # G = 3, below k
+        y = CircularSequence.from_string("ACG")
+        with pytest.raises(ValueError) as counting:
+            count_kmers_sequence(y, 5)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(counting.value))}$"):
+            estimate(est, x_table, y, subset=subset)
+
+    def test_read_y_without_windows_fails_as_its_count(self, pair):
+        """Reads shorter than k fail as counting them fails; no reads, of any
+        length, leave no volume to scale by."""
+        x, y = pair
+        xr = sample_reads(x, 100, 400, SubstitutionChannel(0.01), rng_seed=3)
+        short = sample_reads(y, 20, 400, SubstitutionChannel(0.01), rng_seed=4)
+        with pytest.raises(ValueError) as counting:
+            count_kmers_reads(short, 30)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(counting.value))}$"):
+            estimate(EstimatorId.LARGE_K_READS, xr, short, k=30, s=0.01)
+        for L in (20, 100):
+            empty = ReadSet(np.empty((0, L), dtype=np.uint8), 4000)
+            with pytest.raises(EmptyRetainedSet, match="^mutated read table is empty$"):
+                estimate(EstimatorId.LARGE_K_READS, xr, empty, k=30, s=0.01)
 
     def test_large_k_reads_needs_s(self, pair):
         x, y = pair

@@ -1,4 +1,5 @@
 import concurrent.futures
+import sys
 import threading
 import tracemalloc
 from collections import Counter
@@ -14,13 +15,16 @@ from mutrate.errors import MismatchedK
 from mutrate.kmers import (
     KmerTable,
     MAX_K,
+    circular_row,
     count_kmers_reads,
     count_kmers_sequence,
     decode_kmer,
     distance_profile,
     encode_kmer,
     expected_kmer_count,
+    lookup,
     packed_hamming,
+    window_mass,
 )
 from mutrate.model import (
     CircularSequence,
@@ -347,6 +351,159 @@ class TestPiecesAndThreads:
         n, d = t.total, t.distinct
         threads = min(kmers._cpus(), n // kmers._PIECE)
         assert peak <= 9 * n + 24 * (d + 1) + 12 * kmers._PIECE * threads
+
+    def test_tally_frees_the_windows_before_the_run_bounds(self, monkeypatch):
+        """With many distinct keys (d/n about a third), the tally holds the
+        windows, their run-start flags and the keys (9n + 8d), never the
+        windows with both the keys and their run bounds (8n + 16d); one
+        thread packs, so one piece's levels come on top."""
+        monkeypatch.setattr(kmers, "_cpus", lambda: 1)
+        x = generate_iid_sequence(20_000, (0.4, 0.2, 0.2, 0.2), rng_seed=9)
+        rs = sample_reads(x, 1000, 1000, SubstitutionChannel(0.02), rng_seed=10)
+        tracemalloc.start()
+        try:
+            t = count_kmers_reads(rs, 21)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, d = t.total, t.distinct
+        assert 8 * d > 2 * n  # where 8n + 16d is past 9n + 8d by a quarter n
+        assert peak <= 9 * n + 8 * (d + 1) + 12 * kmers._PIECE
+
+
+@st.composite
+def mass_case(draw):
+    """k, 1-4 reads as in ``windows_case``, and sorted unique wanted keys:
+    none, keys of no window, keys of every window (of the reads and of the
+    first read read as a circular sequence), or some of each."""
+    k, rows = draw(windows_case())
+    present = set(oracles.circular_kmer_counts(rows[0], k))
+    for r in rows:
+        present.update(oracles.linear_kmer_counts(r, k))
+    present = {encode_kmer(w) for w in present}
+    key = st.integers(0, 4**k - 1)
+    if k == 32:  # keys past 2^63 compare as uint64 only
+        key |= st.integers(2**63, 4**k - 1)
+    absent = [v for v in draw(st.lists(key, max_size=20, unique=True)) if v not in present]
+    shape = draw(st.sampled_from(["empty", "absent", "all", "some"]))
+    wanted = {"empty": [], "absent": absent, "all": sorted(present)}.get(shape)
+    if wanted is None:
+        wanted = [v for v in sorted(present) if draw(st.booleans())] + absent
+    return k, rows, np.unique(np.array(wanted, dtype=np.uint64))
+
+
+def _wrap_only(text, k):
+    """``text`` as its one read, and wanted keys that only its circular
+    windows across the end have."""
+    linear = oracles.linear_kmer_counts(text, k)
+    wrap = [w for w in oracles.circular_kmer_counts(text, k) if w not in linear]
+    return k, [text], np.unique(np.array([encode_kmer(w) for w in wrap], dtype=np.uint64))
+
+
+def _every_window(k, rows):
+    keys = {encode_kmer(r[i : i + k]) for r in rows for i in range(len(r) - k + 1)}
+    return k, rows, np.array(sorted(keys), dtype=np.uint64)
+
+
+class TestWindowMass:
+    """y's mass on wanted keys, measured from its windows, equals its count's."""
+
+    @settings(deadline=None)
+    @given(
+        mass_case(),
+        st.sampled_from([1, 3, 64]),
+        st.sampled_from([1, 2, 3]),
+        st.sampled_from([1, 5, kmers._CANDIDATES]),
+        st.sampled_from([0, kmers._FILTER_RATIO, 2**62]),
+    )
+    @example(_wrap_only("AAAAAAAC", 3), 64, 1, 5, 0)  # only the circular windows match
+    @example(_wrap_only("ACGTTGCAAGT", 7), 3, 2, 1, 2**62)
+    @example(_every_window(*_rows(32, 160, 3, 6, lead="GT")), 64, 2, 5, 0)  # keys >= 2^63
+    @example(_every_window(*_rows(32, 32, 4, 7, lead="T")), 1, 3, 1, 0)  # k = L, keys >= 2^63
+    @example(_every_window(*_rows(21, 300, 2, 5)), 64, 3, 5, 0)  # reads longer than a piece
+    @example(_every_window(*_rows(1, 50, 2, 8)), 3, 2, 1, 0)  # k = 1
+    def test_against_count_and_lookup(self, case, piece, cpus, candidates, ratio):
+        """Any piece size, thread count and candidate buffer (1 and 5 flush
+        it many times); the filter always (ratio 0), never (2^62), or by the
+        size rule."""
+        k, rows, wanted = case
+        matrix = np.array([string_to_codes(r) for r in rows])
+        seq = CircularSequence.from_string(rows[0])
+        reads_table = count_kmers_reads(ReadSet(matrix, 100), k)
+        seq_table = count_kmers_sequence(seq, k)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kmers, "_PIECE", piece)
+            mp.setattr(kmers, "_cpus", lambda: cpus)
+            mp.setattr(kmers, "_CANDIDATES", candidates)
+            mp.setattr(kmers, "_FILTER_RATIO", ratio)
+            got_reads = window_mass(matrix, k, wanted)
+            got_seq = window_mass(circular_row(seq, k), k, wanted)
+        assert type(got_reads) is int and type(got_seq) is int
+        assert got_reads == int(lookup(reads_table.keys, reads_table.counts, wanted).sum())
+        assert got_seq == int(lookup(seq_table.keys, seq_table.counts, wanted).sum())
+
+    def test_size_rule(self, monkeypatch):
+        """The windows are counted when they are fewer than _FILTER_RATIO a
+        wanted key, and filtered from there up."""
+        counted = []
+        count = kmers._count_windows
+        monkeypatch.setattr(kmers, "_count_windows", lambda m, k: counted.append(m.size) or count(m, k))
+        matrix = np.zeros((2, 12), dtype=np.uint8)  # 2 x 10 windows at k = 3, all AAA
+        most = 20 // kmers._FILTER_RATIO  # wanted keys the windows are filtered for
+        for n_wanted, filtered in ((most, True), (most + 1, False)):
+            wanted = np.arange(n_wanted, dtype=np.uint64)  # AAA is 0
+            counted.clear()
+            assert window_mass(matrix, 3, wanted) == 20
+            assert counted == ([] if filtered else [24])
+
+    def test_no_reads_no_windows(self):
+        """As a read set of no reads counts to no k-mers, whatever L."""
+        for L in (3, 10):
+            assert window_mass(np.empty((0, L), dtype=np.uint8), 5, np.arange(3, dtype=np.uint64)) == 0
+        with pytest.raises(ValueError, match="^k=5 exceeds read length 3$"):
+            window_mass(np.zeros((1, 3), dtype=np.uint8), 5, np.arange(3, dtype=np.uint64))
+
+    def test_threads_lose_no_candidate(self, monkeypatch):
+        """Eight threads on tiny pieces, every window wanted, a buffer of 7
+        and a switch interval of a microsecond: every window that passes the
+        filter is added and tallied once, so the mass is the window count."""
+        k, rows = _rows(9, 200, 40, 12)
+        matrix = np.array([string_to_codes(r) for r in rows])
+        wanted = count_kmers_reads(ReadSet(matrix, 100), k).keys
+        expected = matrix.shape[0] * (matrix.shape[1] - k + 1)
+        monkeypatch.setattr(kmers, "_PIECE", 16)
+        monkeypatch.setattr(kmers, "_cpus", lambda: 8)
+        monkeypatch.setattr(kmers, "_CANDIDATES", 7)
+        monkeypatch.setattr(kmers, "_FILTER_RATIO", 0)  # filter, whatever the sizes
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert window_mass(matrix, k, wanted) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_peak_is_bounded_by_the_keys_not_the_windows(self):
+        """Measuring the reads holds the hash table (at most 16 bytes a
+        wanted key), one lookup's output (8 more), the candidate buffer and
+        its tally (at most 33 bytes a candidate), a lookup block and, on each
+        thread, a piece and its hashes (at most 40 bytes a window): the same
+        for 2.9 and 5.8 million windows, which a count would hold in 23 and
+        47 MB."""
+        x = generate_iid_sequence(100_000, (0.35, 0.25, 0.2, 0.2), rng_seed=11)
+        wanted = count_kmers_sequence(x, 30).keys
+        for num_reads in (3000, 6000):
+            rs = sample_reads(x, 1000, num_reads, SubstitutionChannel(0.01), rng_seed=num_reads)
+            n = rs.num_reads * (rs.read_len - 29)
+            tracemalloc.start()
+            try:
+                mass = window_mass(rs.matrix, 30, wanted)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert 0 < mass <= n
+            bound = 24 * wanted.size + 33 * kmers._CANDIDATES + 48 * kmers._BLOCK + 40 * kmers._PIECE * kmers._threads(n)
+            assert peak <= bound
 
 
 class TestTable:

@@ -330,7 +330,9 @@ class TestKmerTableCodec:
             ("TT\t00000000000000000001\n", ", line 4: count '00000000000000000001' has more than 19 digits"),
         ],
     )
-    def test_malformed_row(self, tmp_path, row, message):
+    @pytest.mark.parametrize("block", [1, 2, seqio._READ_BLOCK_ROWS])
+    def test_malformed_row(self, tmp_path, monkeypatch, row, message, block):
+        monkeypatch.setattr(seqio, "_READ_BLOCK_ROWS", block)  # the bad row in the first block or a later one
         path = tmp_path / "bad.tsv"
         path.write_text("#k=2\t#total=6\t#provenance=sequence\nAC\t3\nGT\t1\n" + row, encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
@@ -405,6 +407,34 @@ class TestKmerTableCodec:
         assert path.read_bytes() == _row_format(table)
         # more than two blocks; the count width changes inside one and at an edge
         assert len(widths) > 2 and len(set(widths[1])) > 1 and widths[0][-1] != widths[1][0]
+
+    @pytest.mark.parametrize("block", [7, 1000])
+    def test_read_across_block_edges(self, tmp_path, monkeypatch, block):
+        table = _block_edge_table()
+        path = tmp_path / "t.tsv"
+        write_kmer_table(path, table)
+        monkeypatch.setattr(seqio, "_READ_BLOCK_ROWS", block)
+        assert read_kmer_table(path) == table
+
+    def test_read_peak_is_the_file_its_rows_and_one_block(self, tmp_path):
+        """Reading holds the file and, to find its line ends, one byte a
+        byte and 8 a row; then the file, each row's start and end (16 bytes
+        a row), the table (16) and one block of rows' temporaries (at most
+        64 bytes a row). It used to decode every row at once, at over 4
+        times the file."""
+        table = count_kmers_sequence(generate_iid_sequence(200_000, (0.4, 0.2, 0.2, 0.2), rng_seed=3), 21)
+        path = tmp_path / "t.tsv"
+        write_kmer_table(path, table)
+        size, rows = path.stat().st_size, table.distinct
+        assert rows > 3 * seqio._READ_BLOCK_ROWS
+        tracemalloc.start()
+        try:
+            got = read_kmer_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == table
+        assert peak <= size + max(size + 8 * rows, 32 * rows + 64 * seqio._READ_BLOCK_ROWS)
 
     def test_peak_memory_bounded_by_the_block(self, tmp_path):
         """Writing four times the rows takes no more memory: the writer

@@ -65,4 +65,4 @@ def test_install_wraps_the_called_names_and_remove_restores_them(monkeypatch, tm
     }
     assert tracer.counts["estimators.calls"] == 2
     assert tracer.counts["estimators.root_g_evals"] == 5  # k + 1 at k = 4
-    assert tracer.counts["kmers.count_seq_windows"] == 4 * 2000
+    assert tracer.counts["kmers.count_seq_windows"] == 2 * 2000  # x twice; y is never counted

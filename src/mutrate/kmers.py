@@ -12,7 +12,9 @@ a set of wanted keys, which :func:`window_mass` measures from y's windows.
 Where the windows outnumber the wanted keys, a hashed filter drops most of
 them piece by piece and a fixed buffer of candidates is tallied as it
 fills, so memory is O(wanted keys + 2 MiB buffer + one piece per thread),
-not the 8 bytes a window a count holds.
+not the 8 bytes a window a count holds. Where they do not, y's windows are
+sorted as for a count and joined with the wanted keys block by block: 8
+bytes a window plus one block, and nothing the size of the wanted keys.
 """
 
 from __future__ import annotations
@@ -224,19 +226,18 @@ def _run_starts(vals: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _count_windows(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct packed keys, ascending, and their counts over the L - k + 1
-    linear windows of every row of the (N, L) ``matrix``.
+def _sorted_windows(matrix: np.ndarray, k: int) -> np.ndarray:
+    """The packed keys of the L - k + 1 linear windows of every row of the
+    (N, L) ``matrix``, sorted ascending.
 
     The windows are packed straight into one uint64 array, one piece of at
     most ``_PIECE`` windows at a time (:func:`_pieces`); a piece that is a
     run of columns overlaps the next by k - 1 symbols. The array is then cut
     into T key ranges of equal size, every key of a range no larger than
-    any key of the next, so that sorting each range sorts the whole array;
-    the runs of equal keys are tallied last. T is :func:`_threads`. With
-    T > 1 the pieces are packed and the ranges sorted on this thread and
-    T - 1 others (NumPy's loops and sorts release the GIL); the result does
-    not depend on T.
+    any key of the next, so that sorting each range sorts the whole array.
+    T is :func:`_threads`. With T > 1 the pieces are packed and the ranges
+    sorted on this thread and T - 1 others (NumPy's loops and sorts release
+    the GIL); the result does not depend on T.
     """
     N, L = matrix.shape
     if k > L:
@@ -259,17 +260,53 @@ def _count_windows(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         run(pack, pieces)
         _cut(out, edges)
         run(sort, zip(edges, edges[1:]))
+    return out
+
+
+def _count_windows(matrix: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct packed keys, ascending, and their counts over the windows
+    :func:`_sorted_windows` sorts: the tally of their runs of equal keys.
+    The windows are freed before the run bounds are made, and the bounds
+    are differenced in place, ``_BLOCK`` at a time, so that the tally holds
+    16 bytes a distinct key at most."""
+    out = _sorted_windows(matrix, k)
     starts = _run_starts(out)
-    keys = out[starts[:n]]
-    del out, grid  # free the windows before the run bounds are made
+    keys = out[starts[:-1]]
+    del out
     bounds = np.flatnonzero(starts)
     del starts
-    return keys, np.diff(bounds)
+    for first in range(0, keys.size, _BLOCK):
+        last = min(first + _BLOCK, keys.size)
+        bounds[first:last] = np.diff(bounds[first : last + 1])
+    return keys, bounds[:-1]
 
 
-# windows are filtered, not counted, from this many windows a wanted key up:
-# on 1e6 windows at k = 21, filtering takes 45 ms against 47 for a count at 2
-# windows a key, and 65 against 51 at 1
+def _sorted_mass(vals: np.ndarray, wanted: np.ndarray) -> int:
+    """How many entries of the sorted uint64 ``vals``, repeats allowed, have
+    a key in ``wanted`` (sorted ascending, unique).
+
+    ``vals`` is walked ``_BLOCK`` entries at a time. A block's runs of equal
+    keys are tallied, and its distinct keys looked up (:func:`lookup`) among
+    the wanted keys between its first and last, so the join's output is the
+    block's size. The mass is a sum over entries, so a run that a block end
+    cuts is counted in its parts. Memory is one block's tally and join,
+    however many keys ``wanted`` holds.
+    """
+    mass = 0
+    for first in range(0, vals.size, _BLOCK):
+        block = vals[first : first + _BLOCK]
+        lo, hi = np.searchsorted(wanted, block[0]), np.searchsorted(wanted, block[-1], side="right")
+        starts = _run_starts(block)
+        # 1 at each of the block's keys that is wanted: the join is the block's size
+        hits = lookup(wanted[lo:hi], np.broadcast_to(np.int64(1), hi - lo), block[starts[:-1]])
+        mass += int(np.diff(np.flatnonzero(starts)) @ hits)
+    return mass
+
+
+# windows are filtered, not sorted, from this many windows a wanted key up:
+# on 1e6 windows at k = 21 and 2 CPUs the two break even near 1.5, as
+# filtering takes 30 ms against 33 for the sort at 2 windows a key, 36
+# against 37 at 1.5 and 48 against 43 at 1
 _FILTER_RATIO = 2
 # hash table slots a wanted key, at least: at most 1 in 8 unwanted windows passes
 _SLOTS_PER_KEY = 8
@@ -294,14 +331,15 @@ def window_mass(matrix: np.ndarray, k: int, wanted: np.ndarray) -> int:
     The count is exact; the sizes pick one of two paths:
 
     * sort: with fewer than ``_FILTER_RATIO`` windows a wanted key, the
-      windows are counted (:func:`_count_windows`) and the wanted keys
-      looked up (:func:`lookup`);
+      windows are sorted (:func:`_sorted_windows`) and joined with the
+      wanted keys block by block (:func:`_sorted_mass`). Memory is the
+      windows, 8 bytes each, and one block;
     * filter: otherwise. Pieces of windows are packed as for a count, on as
       many threads (:func:`_threads`). A table of at least
       ``_SLOTS_PER_KEY`` slots a wanted key marks the slots their
       multiply-shift hashes fall in; a window whose slot is unmarked is not
       wanted and is dropped. The rest gather in a buffer of ``_CANDIDATES``
-      keys, which is sorted, tallied and looked up in ``wanted`` whenever it
+      keys, which is sorted and joined as on the sort path whenever it
       fills, and once at the end. Memory is the table, the buffer and one
       piece per thread, however many windows there are.
 
@@ -317,8 +355,7 @@ def window_mass(matrix: np.ndarray, k: int, wanted: np.ndarray) -> int:
     if n == 0 or wanted.size == 0:
         return 0
     if n < _FILTER_RATIO * wanted.size:
-        keys, counts = _count_windows(matrix, k)
-        return int(lookup(keys, counts, wanted).sum())
+        return _sorted_mass(_sorted_windows(matrix, k), wanted)
     bits = (_SLOTS_PER_KEY * wanted.size - 1).bit_length()
     shift = np.uint64(64 - bits)
     table = np.zeros(1 << bits, dtype=bool)
@@ -331,8 +368,7 @@ def window_mass(matrix: np.ndarray, k: int, wanted: np.ndarray) -> int:
     def tally() -> int:
         cands = buffer[:filled]
         cands.sort()
-        starts = _run_starts(cands)
-        return int(lookup(cands[starts[:-1]], np.diff(np.flatnonzero(starts)), wanted).sum())
+        return _sorted_mass(cands, wanted)
 
     def scan(r: int, c: int) -> None:
         nonlocal filled, mass

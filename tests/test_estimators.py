@@ -476,7 +476,7 @@ class TestLargeKReads:
             estimate_large_k_reads(t, empty, 0.0)
 
     def test_upper_bound_noise_still_valid(self):
-        # overstating s only tightens the filter; the ratio is untouched
+        # at k = 9 an overstated s still gives a rate within 0.05 of p
         x = generate_iid_sequence(3000, (0.25, 0.25, 0.25, 0.25), rng_seed=5)
         xr = sample_reads(x, 100, 600, SubstitutionChannel(0.01), rng_seed=6)
         y = mutate(x, SubstitutionChannel(0.05), rng_seed=7)
@@ -488,6 +488,19 @@ class TestLargeKReads:
             select_lambda(hx, 0.03).lam >= select_lambda(hx, 0.01).lam
         )
         assert abs(bound.p_raw - 0.05) < 0.05 and abs(exact.p_raw - 0.05) < 0.05
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_overstated_noise_raises_lambda_and_the_rate(self, seed):
+        """At twice the true s the threshold rises and keeps keys picked on
+        x's count noise, so the rate comes out higher (G = 3e4, coverage
+        10, L = 1000, k = 30, p = 0.05, s = 0.01)."""
+        x = generate_iid_sequence(30_000, (0.35, 0.25, 0.2, 0.2), rng_seed=seed)
+        y = mutate(x, SubstitutionChannel(0.05), rng_seed=seed + 100)
+        hx = count_kmers_reads(sample_reads(x, 1000, 300, SubstitutionChannel(0.01), rng_seed=seed + 200), 30)
+        yr = sample_reads(y, 1000, 300, SubstitutionChannel(0.01), rng_seed=seed + 300)
+        true_s, twice = estimate_large_k_reads(hx, yr, 0.01), estimate_large_k_reads(hx, yr, 0.02)
+        assert twice.diagnostics.lambda_threshold > true_s.diagnostics.lambda_threshold
+        assert twice.p_raw > true_s.p_raw
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,7 @@ from mutrate.model import (
     SubstitutionChannel,
     codes_to_string,
     generate_iid_sequence,
+    mutate,
     sample_reads,
     string_to_codes,
 )
@@ -337,8 +338,9 @@ class TestPiecesAndThreads:
 
     def test_peak_is_the_windows_buffer_and_its_tally(self):
         """A count holds its n windows (8 bytes each), one run-start flag per
-        window and, for the d distinct keys, their run bounds, keys and counts
-        (8 bytes each); packing adds at most two levels of one piece (12 bytes
+        window and, for the d distinct keys, their keys and their run bounds,
+        differenced in place into counts (8 bytes each), with one block of
+        differences; packing adds at most two levels of one piece (12 bytes
         a window at most) on each thread."""
         x = generate_iid_sequence(20_000, (0.4, 0.2, 0.2, 0.2), rng_seed=9)
         rs = sample_reads(x, 1000, 1000, SubstitutionChannel(0.0), rng_seed=10)
@@ -350,16 +352,23 @@ class TestPiecesAndThreads:
             tracemalloc.stop()
         n, d = t.total, t.distinct
         threads = min(kmers._cpus(), n // kmers._PIECE)
-        assert peak <= 9 * n + 24 * (d + 1) + 12 * kmers._PIECE * threads
+        assert peak <= 9 * n + 16 * (d + 1) + 8 * kmers._BLOCK + 12 * kmers._PIECE * threads
 
-    def test_tally_frees_the_windows_before_the_run_bounds(self, monkeypatch):
-        """With many distinct keys (d/n about a third), the tally holds the
+    @pytest.mark.parametrize("source", ["reads", "genome"])
+    def test_tally_frees_the_windows_before_the_run_bounds(self, monkeypatch, source):
+        """With many distinct keys (d/n about a third for reads with errors,
+        nearly one for one read as long as a genome), the tally holds the
         windows, their run-start flags and the keys (9n + 8d), never the
-        windows with both the keys and their run bounds (8n + 16d); one
-        thread packs, so one piece's levels come on top."""
+        windows with both the keys and their run bounds (8n + 16d), nor the
+        keys with both the bounds and the counts (24d); one thread packs, so
+        one piece's levels come on top."""
         monkeypatch.setattr(kmers, "_cpus", lambda: 1)
-        x = generate_iid_sequence(20_000, (0.4, 0.2, 0.2, 0.2), rng_seed=9)
-        rs = sample_reads(x, 1000, 1000, SubstitutionChannel(0.02), rng_seed=10)
+        if source == "reads":
+            x = generate_iid_sequence(20_000, (0.4, 0.2, 0.2, 0.2), rng_seed=9)
+            rs = sample_reads(x, 1000, 1000, SubstitutionChannel(0.02), rng_seed=10)
+        else:
+            x = generate_iid_sequence(300_000, (0.4, 0.2, 0.2, 0.2), rng_seed=9)
+            rs = ReadSet(x.codes[None, :], len(x))
         tracemalloc.start()
         try:
             t = count_kmers_reads(rs, 21)
@@ -405,6 +414,31 @@ def _every_window(k, rows):
     return k, rows, np.array(sorted(keys), dtype=np.uint64)
 
 
+@st.composite
+def sorted_mass_case(draw):
+    """k, sorted packed keys with runs of 1-5 repeats, and sorted unique
+    wanted keys: none, keys of no entry, some or all of the entries' keys,
+    or keys all below or all above them."""
+    k = draw(st.integers(1, MAX_K))
+    key = st.integers(0, 4**k - 1)
+    if k == 32:  # keys past 2^63 compare as uint64 only
+        key |= st.integers(2**63, 4**k - 1)
+    distinct = sorted(draw(st.lists(key, min_size=1, max_size=30, unique=True)))
+    repeats = draw(st.lists(st.integers(1, 5), min_size=len(distinct), max_size=len(distinct)))
+    vals = np.repeat(np.array(distinct, dtype=np.uint64), repeats)
+    others = [v for v in draw(st.lists(key, max_size=20, unique=True)) if v not in distinct]
+    shape = draw(st.sampled_from(["empty", "disjoint", "some", "all", "below", "above"]))
+    wanted = {
+        "empty": [],
+        "disjoint": others,
+        "some": [v for v in distinct if draw(st.booleans())] + others,
+        "all": distinct,
+        "below": [v for v in others if v < distinct[0]],
+        "above": [v for v in others if v > distinct[-1]],
+    }[shape]
+    return vals, np.unique(np.array(wanted, dtype=np.uint64))
+
+
 class TestWindowMass:
     """y's mass on wanted keys, measured from its windows, equals its count's."""
 
@@ -415,17 +449,19 @@ class TestWindowMass:
         st.sampled_from([1, 2, 3]),
         st.sampled_from([1, 5, kmers._CANDIDATES]),
         st.sampled_from([0, kmers._FILTER_RATIO, 2**62]),
+        st.sampled_from([2, kmers._BLOCK]),
     )
-    @example(_wrap_only("AAAAAAAC", 3), 64, 1, 5, 0)  # only the circular windows match
-    @example(_wrap_only("ACGTTGCAAGT", 7), 3, 2, 1, 2**62)
-    @example(_every_window(*_rows(32, 160, 3, 6, lead="GT")), 64, 2, 5, 0)  # keys >= 2^63
-    @example(_every_window(*_rows(32, 32, 4, 7, lead="T")), 1, 3, 1, 0)  # k = L, keys >= 2^63
-    @example(_every_window(*_rows(21, 300, 2, 5)), 64, 3, 5, 0)  # reads longer than a piece
-    @example(_every_window(*_rows(1, 50, 2, 8)), 3, 2, 1, 0)  # k = 1
-    def test_against_count_and_lookup(self, case, piece, cpus, candidates, ratio):
+    @example(_wrap_only("AAAAAAAC", 3), 64, 1, 5, 0, 2)  # only the circular windows match
+    @example(_wrap_only("ACGTTGCAAGT", 7), 3, 2, 1, 2**62, 2)
+    @example(_every_window(*_rows(32, 160, 3, 6, lead="GT")), 64, 2, 5, 0, 2)  # keys >= 2^63
+    @example(_every_window(*_rows(32, 32, 4, 7, lead="T")), 1, 3, 1, 0, kmers._BLOCK)  # k = L, keys >= 2^63
+    @example(_every_window(*_rows(21, 300, 2, 5)), 64, 3, 5, 0, kmers._BLOCK)  # reads longer than a piece
+    @example(_every_window(*_rows(21, 300, 2, 5)), 64, 3, 2**18, 2**62, 2)  # the sort path, many join blocks
+    @example(_every_window(*_rows(1, 50, 2, 8)), 3, 2, 1, 0, 2)  # k = 1
+    def test_against_count_and_lookup(self, case, piece, cpus, candidates, ratio, block):
         """Any piece size, thread count and candidate buffer (1 and 5 flush
         it many times); the filter always (ratio 0), never (2^62), or by the
-        size rule."""
+        size rule; joins of 2 windows a block or of many."""
         k, rows, wanted = case
         matrix = np.array([string_to_codes(r) for r in rows])
         seq = CircularSequence.from_string(rows[0])
@@ -436,6 +472,7 @@ class TestWindowMass:
             mp.setattr(kmers, "_cpus", lambda: cpus)
             mp.setattr(kmers, "_CANDIDATES", candidates)
             mp.setattr(kmers, "_FILTER_RATIO", ratio)
+            mp.setattr(kmers, "_BLOCK", block)
             got_reads = window_mass(matrix, k, wanted)
             got_seq = window_mass(circular_row(seq, k), k, wanted)
         assert type(got_reads) is int and type(got_seq) is int
@@ -443,11 +480,11 @@ class TestWindowMass:
         assert got_seq == int(lookup(seq_table.keys, seq_table.counts, wanted).sum())
 
     def test_size_rule(self, monkeypatch):
-        """The windows are counted when they are fewer than _FILTER_RATIO a
+        """The windows are sorted when they are fewer than _FILTER_RATIO a
         wanted key, and filtered from there up."""
         counted = []
-        count = kmers._count_windows
-        monkeypatch.setattr(kmers, "_count_windows", lambda m, k: counted.append(m.size) or count(m, k))
+        sort = kmers._sorted_windows
+        monkeypatch.setattr(kmers, "_sorted_windows", lambda m, k: counted.append(m.size) or sort(m, k))
         matrix = np.zeros((2, 12), dtype=np.uint8)  # 2 x 10 windows at k = 3, all AAA
         most = 20 // kmers._FILTER_RATIO  # wanted keys the windows are filtered for
         for n_wanted, filtered in ((most, True), (most + 1, False)):
@@ -504,6 +541,45 @@ class TestWindowMass:
             assert 0 < mass <= n
             bound = 24 * wanted.size + 33 * kmers._CANDIDATES + 48 * kmers._BLOCK + 40 * kmers._PIECE * kmers._threads(n)
             assert peak <= bound
+
+    @settings(deadline=None)
+    @given(sorted_mass_case(), st.sampled_from([1, 2, 3, 64]))
+    @example(  # the top key of k = 32 in a run across a block end
+        (np.repeat(np.array([3, 2**64 - 1], dtype=np.uint64), [3, 4]), np.array([2**64 - 1], dtype=np.uint64)), 2
+    )
+    @example((np.zeros(7, dtype=np.uint64), np.array([0, 5], dtype=np.uint64)), 3)  # one run across three blocks
+    def test_sorted_mass_against_lookup(self, case, block):
+        """The block join sums to what a lookup on the whole tally sums to,
+        whatever the block, so also where runs straddle block ends."""
+        vals, wanted = case
+        keys, counts = np.unique(vals, return_counts=True)
+        expected = int(lookup(keys, counts, wanted).sum())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kmers, "_BLOCK", block)
+            got = kmers._sorted_mass(vals, wanted)
+        assert type(got) is int and got == expected
+
+    def test_sort_path_peak_is_the_windows_and_one_block(self):
+        """At one window a wanted key (y mutated from x, x's keys wanted) the
+        windows are sorted, not counted: the peak is the windows (8 bytes
+        each), one block's tally and join (at most 128 bytes an entry) and,
+        on each thread, one piece's packing levels (12 bytes a window),
+        with nothing the size of the wanted keys."""
+        x = generate_iid_sequence(1_000_000, (0.4, 0.2, 0.2, 0.2), rng_seed=12)
+        wanted = count_kmers_sequence(x, 21).keys
+        y = mutate(x, SubstitutionChannel(0.05), rng_seed=13)
+        y_table = count_kmers_sequence(y, 21)
+        row = circular_row(y, 21)
+        n = row.shape[1] - 20
+        assert n < kmers._FILTER_RATIO * wanted.size  # the sort path
+        tracemalloc.start()
+        try:
+            mass = window_mass(row, 21, wanted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mass == int(lookup(y_table.keys, y_table.counts, wanted).sum())
+        assert peak <= 8 * n + 128 * kmers._BLOCK + 12 * kmers._PIECE * kmers._threads(n)
 
 
 class TestTable:

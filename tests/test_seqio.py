@@ -417,11 +417,11 @@ class TestKmerTableCodec:
         assert read_kmer_table(path) == table
 
     def test_read_peak_is_the_file_its_rows_and_one_block(self, tmp_path):
-        """Reading holds the file and, to find its line ends, one byte a
-        byte and 8 a row; then the file, each row's start and end (16 bytes
-        a row), the table (16) and one block of rows' temporaries (at most
-        64 bytes a row). It used to decode every row at once, at over 4
-        times the file."""
+        """Reading holds the file, the table and a flag a row for its checks
+        (17 bytes a row) and one block of rows' temporaries (at most 64
+        bytes a row): line ends are found a block at a time. It used to find
+        every row's start and end first, and before that to decode every
+        row at once, at over 4 times the file."""
         table = count_kmers_sequence(generate_iid_sequence(200_000, (0.4, 0.2, 0.2, 0.2), rng_seed=3), 21)
         path = tmp_path / "t.tsv"
         write_kmer_table(path, table)
@@ -434,7 +434,7 @@ class TestKmerTableCodec:
         finally:
             tracemalloc.stop()
         assert got == table
-        assert peak <= size + max(size + 8 * rows, 32 * rows + 64 * seqio._READ_BLOCK_ROWS)
+        assert peak <= size + 17 * (rows + 1) + 64 * seqio._READ_BLOCK_ROWS
 
     def test_peak_memory_bounded_by_the_block(self, tmp_path):
         """Writing four times the rows takes no more memory: the writer
@@ -481,13 +481,17 @@ class TestKmerTableCodec:
     @given(
         table=kmer_tables(),
         edits=_edits(["\n", "\r", "\t", "0", "9", "a", "N", "+", " ", "é", "_", "-"]),
+        block=st.sampled_from([1, 2, seqio._READ_BLOCK_ROWS]),
     )
-    def test_whole_array_path_agrees_with_row_loop(self, tmp_path_factory, table, edits):
+    def test_whole_array_path_agrees_with_row_loop(self, tmp_path_factory, table, edits, block):
         """Any edit of a valid file gives the same table or the same error
-        as the line-by-line oracle of the grammar."""
+        as the line-by-line oracle of the grammar, whatever lines the
+        blocks of rows end at."""
         path = tmp_path_factory.mktemp("t") / "t.tsv"
         path.write_text(_apply(edits, _row_format(table).decode()), encoding="utf-8")
-        _assert_same_outcome(path, _table_value, oracles.kmer_table_rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(seqio, "_READ_BLOCK_ROWS", block)
+            _assert_same_outcome(path, _table_value, oracles.kmer_table_rows)
 
 
 class TestReadsIO:

@@ -2,19 +2,19 @@
 
 k-mers are packed two bits per symbol (A=00, C=01, G=10, T=11, leftmost
 symbol in the highest bits) into uint64, exact for k up to 32; table keys
-are sorted uint64 arrays. Counting packs the windows in cache-sized pieces
-into one array, cuts that into key ranges and sorts each, on one thread per
-CPU, then tallies the runs of equal keys; nothing materializes all 4^k
-strings.
+are sorted uint64 arrays. One loop, :func:`_sorted_windows`, packs the
+windows in cache-sized pieces on one thread per CPU, filters them when
+asked, gathers them in one buffer and sorts it by key ranges on the same
+threads. A count tallies the runs of equal keys of every window; nothing
+materializes all 4^k strings.
 
-The mutated side y is never counted: the estimators need only its mass on
-a set of wanted keys, which :func:`window_mass` measures from y's windows.
-Where the windows outnumber the wanted keys, a hashed filter drops most of
-them piece by piece and a fixed buffer of candidates is tallied as it
-fills, so memory is O(wanted keys + 2 MiB buffer + one piece per thread),
-not the 8 bytes a window a count holds. Where they do not, y's windows are
-sorted as for a count and joined with the wanted keys block by block: 8
-bytes a window plus one block, and nothing the size of the wanted keys.
+The mutated side y is never counted: :func:`window_mass` measures its mass
+on a set of wanted keys through the same loop. Where the windows outnumber
+the wanted keys, a hashed filter drops most of them and a 2 MiB buffer of
+candidates is sorted and joined as it fills, so memory is O(wanted keys +
+2 MiB + one piece per thread), not 8 bytes a window. Where they do not,
+y's windows are sorted as for a count and joined with the wanted keys
+block by block: 8 bytes a window plus one block.
 """
 
 from __future__ import annotations
@@ -207,15 +207,6 @@ def _threads(n: int) -> int:
     return max(1, min(_cpus(), n // _PIECE))
 
 
-def _pieces(N: int, W: int) -> tuple[int, int, list[tuple[int, int]]]:
-    """Rows and columns of windows a piece spans, and the (row, column) where
-    each piece starts: a block of whole rows, or, for a row longer than a
-    piece, a run of its columns."""
-    cols = min(W, _PIECE)
-    rows = _PIECE // cols
-    return rows, cols, [(r, c) for r in range(0, N, rows) for c in range(0, W, cols)]
-
-
 def _run_starts(vals: np.ndarray) -> np.ndarray:
     """Where a run of equal keys of the sorted ``vals`` starts: a key that
     differs from the one before it; one flag more, set, ends the last run."""
@@ -226,40 +217,63 @@ def _run_starts(vals: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _sorted_windows(matrix: np.ndarray, k: int) -> np.ndarray:
+def _sorted_windows(matrix: np.ndarray, k: int, keep=None, spill=None) -> np.ndarray:
     """The packed keys of the L - k + 1 linear windows of every row of the
-    (N, L) ``matrix``, sorted ascending.
+    (N, L) ``matrix``, or of those the bool mask ``keep(keys)`` keeps,
+    sorted ascending: the one loop that packs windows.
 
-    The windows are packed straight into one uint64 array, one piece of at
-    most ``_PIECE`` windows at a time (:func:`_pieces`); a piece that is a
-    run of columns overlaps the next by k - 1 symbols. The array is then cut
-    into T key ranges of equal size, every key of a range no larger than
-    any key of the next, so that sorting each range sorts the whole array.
-    T is :func:`_threads`. With T > 1 the pieces are packed and the ranges
-    sorted on this thread and T - 1 others (NumPy's loops and sorts release
-    the GIL); the result does not depend on T.
+    Windows are packed a piece of at most ``_PIECE`` at a time (a block of
+    whole rows, or a run of one row's columns overlapping the next by k - 1
+    symbols): with no ``keep`` straight into one buffer of every window,
+    else into a scratch array whose kept windows are appended to a buffer
+    of ``_CANDIDATES``; when that is full and more must go in, it is sorted,
+    handed to ``spill`` and emptied. What the buffer holds at the end is cut
+    into T key ranges, every key of a range no larger than any key of the
+    next, and each range is sorted. T is :func:`_threads`; with T > 1 the
+    pieces are packed and the ranges sorted on this thread and T - 1 others
+    (NumPy's loops and sorts release the GIL). The result does not depend
+    on T.
     """
     N, L = matrix.shape
     if k > L:
         raise ValueError(f"k={k} exceeds read length {L}")
     W = L - k + 1
     n = N * W
-    out = np.empty(n, dtype=np.uint64)
-    grid = out.reshape(N, W)
-    rows, cols, pieces = _pieces(N, W)
+    cols = min(W, _PIECE)
+    rows = _PIECE // cols
+    if keep is None:  # every window stays, so a piece is packed into its place
+        buffer, filled = np.empty((N, W), dtype=np.uint64), n
+    else:
+        buffer, filled = np.empty(min(n, _CANDIDATES), dtype=np.uint64), 0
+    adding = threading.Lock()
 
     def pack(r: int, c: int) -> None:
-        _pack_windows(matrix[r : r + rows, c : c + cols + k - 1], k, grid[r : r + rows, c : c + cols])
+        nonlocal filled
+        block = matrix[r : r + rows, c : c + cols + k - 1]
+        shape = (block.shape[0], block.shape[1] - k + 1)
+        win = buffer[r : r + rows, c : c + cols] if keep is None else np.empty(shape, dtype=np.uint64)
+        _pack_windows(block, k, win)
+        if keep is None:
+            return
+        win = win.reshape(-1)
+        win = win[keep(win)]
+        with adding:
+            while win.size:
+                if filled == buffer.size:
+                    buffer.sort()
+                    spill(buffer)
+                    filled = 0
+                take = min(win.size, buffer.size - filled)
+                buffer[filled : filled + take] = win[:take]
+                filled, win = filled + take, win[take:]
 
-    def sort(first: int, last: int) -> None:
-        out[first:last].sort()
-
-    T = _threads(n)
-    edges = [n * i // T for i in range(T + 1)]
-    with _workers(T) as run:
-        run(pack, pieces)
+    with _workers(_threads(n)) as run:
+        run(pack, [(r, c) for r in range(0, N, rows) for c in range(0, W, cols)])
+        out = buffer.reshape(-1)[:filled]
+        T = _threads(filled)
+        edges = [filled * i // T for i in range(T + 1)]
         _cut(out, edges)
-        run(sort, zip(edges, edges[1:]))
+        run(lambda first, last: out[first:last].sort(), zip(edges, edges[1:]))
     return out
 
 
@@ -304,9 +318,9 @@ def _sorted_mass(vals: np.ndarray, wanted: np.ndarray) -> int:
 
 
 # windows are filtered, not sorted, from this many windows a wanted key up:
-# on 1e6 windows at k = 21 and 2 CPUs the two break even near 1.5, as
-# filtering takes 30 ms against 33 for the sort at 2 windows a key, 36
-# against 37 at 1.5 and 48 against 43 at 1
+# on 1e6 windows at k = 21 and 2 CPUs the two break even between 1.25 and
+# 1.5, as filtering takes 34 ms against 44 for the sort at 2 windows a key,
+# 42 against 47 at 1.5 and 59 against 43 at 1 (medians of 15 calls)
 _FILTER_RATIO = 2
 # hash table slots a wanted key, at least: at most 1 in 8 unwanted windows passes
 _SLOTS_PER_KEY = 8
@@ -334,14 +348,12 @@ def window_mass(matrix: np.ndarray, k: int, wanted: np.ndarray) -> int:
       windows are sorted (:func:`_sorted_windows`) and joined with the
       wanted keys block by block (:func:`_sorted_mass`). Memory is the
       windows, 8 bytes each, and one block;
-    * filter: otherwise. Pieces of windows are packed as for a count, on as
-      many threads (:func:`_threads`). A table of at least
-      ``_SLOTS_PER_KEY`` slots a wanted key marks the slots their
-      multiply-shift hashes fall in; a window whose slot is unmarked is not
-      wanted and is dropped. The rest gather in a buffer of ``_CANDIDATES``
-      keys, which is sorted and joined as on the sort path whenever it
-      fills, and once at the end. Memory is the table, the buffer and one
-      piece per thread, however many windows there are.
+    * filter: otherwise. A table of at least ``_SLOTS_PER_KEY`` slots a
+      wanted key marks the slots their multiply-shift hashes fall in;
+      :func:`_sorted_windows` keeps the windows whose slot is marked, and
+      each sorted buffer of ``_CANDIDATES`` it spills, and what it returns,
+      is joined as on the sort path. Memory is the table, the buffer and
+      one piece per thread, however many windows there are.
 
     A matrix of no rows has no windows, whatever its width, as a read set
     of no reads has none (:func:`count_kmers_reads`).
@@ -350,8 +362,7 @@ def window_mass(matrix: np.ndarray, k: int, wanted: np.ndarray) -> int:
     N, L = matrix.shape
     if N and k > L:
         raise ValueError(f"k={k} exceeds read length {L}")
-    W = L - k + 1
-    n = N * W
+    n = N * (L - k + 1)
     if n == 0 or wanted.size == 0:
         return 0
     if n < _FILTER_RATIO * wanted.size:
@@ -360,34 +371,14 @@ def window_mass(matrix: np.ndarray, k: int, wanted: np.ndarray) -> int:
     shift = np.uint64(64 - bits)
     table = np.zeros(1 << bits, dtype=bool)
     table[_slots(wanted, shift)] = True
-    buffer = np.empty(min(n, _CANDIDATES), dtype=np.uint64)
-    filled = mass = 0
-    adding = threading.Lock()
-    rows, cols, pieces = _pieces(N, W)
+    mass = 0
 
-    def tally() -> int:
-        cands = buffer[:filled]
-        cands.sort()
-        return _sorted_mass(cands, wanted)
+    def spill(vals: np.ndarray) -> None:
+        nonlocal mass
+        mass += _sorted_mass(vals, wanted)
 
-    def scan(r: int, c: int) -> None:
-        nonlocal filled, mass
-        block = matrix[r : r + rows, c : c + cols + k - 1]
-        win = np.empty((block.shape[0], block.shape[1] - k + 1), dtype=np.uint64)
-        _pack_windows(block, k, win)
-        win = win.reshape(-1)
-        kept = win[table[_slots(win, shift)]]
-        with adding:
-            while kept.size:
-                take = min(kept.size, buffer.size - filled)
-                buffer[filled : filled + take] = kept[:take]
-                filled, kept = filled + take, kept[take:]
-                if filled == buffer.size:
-                    mass, filled = mass + tally(), 0
-
-    with _workers(_threads(n)) as run:
-        run(scan, pieces)
-    return mass + tally()
+    rest = _sorted_windows(matrix, k, lambda win: table[_slots(win, shift)], spill)
+    return mass + _sorted_mass(rest, wanted)
 
 
 @dataclass(frozen=True, eq=False)

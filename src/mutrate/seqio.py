@@ -106,13 +106,15 @@ def read_fasta(path: str | Path, on_invalid: str = "error") -> list[FastaRecord]
 
 
 def write_fasta(path: str | Path, records: list[FastaRecord]) -> None:
-    lines = []
-    for rec in records:
-        lines.append(f">{rec.name}")
-        text = rec.seq.to_string()
-        for i in range(0, len(text), FASTA_LINE_WIDTH):
-            lines.append(text[i : i + FASTA_LINE_WIDTH])
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Each record as a ``>name`` line, then lines of ``FASTA_LINE_WIDTH`` symbols."""
+    with Path(path).open("wb") as fh:
+        for rec in records:
+            codes = rec.seq.codes
+            full = codes.size - codes.size % FASTA_LINE_WIDTH
+            fh.write(f">{rec.name}\n".encode())
+            _write_lines(fh, codes[:full].reshape(-1, FASTA_LINE_WIDTH))
+            if full < codes.size:
+                _write_lines(fh, codes[None, full:])
 
 
 def _parse_header(line: str, expected_keys: tuple[str, ...], where: str) -> list[str]:
@@ -358,15 +360,21 @@ def write_reads(path: str | Path, reads: ReadSet) -> None:
     read content alone.
     """
     header = f"#L={reads.read_len}\t#N={reads.num_reads}\t#G={reads.source_len}\n"
-    step = _block_rows(reads.read_len + 1)
-    rows = np.empty((min(step, reads.num_reads), reads.read_len + 1), dtype=np.uint8)
-    rows[:, -1] = 4
     with Path(path).open("wb") as fh:
         fh.write(header.encode("ascii"))
-        for i in range(0, reads.num_reads, step):
-            block = reads.matrix[i : i + step]
-            rows[: len(block), :-1] = block
-            fh.write(rows[: len(block)].tobytes().translate(_READ_ROW_BYTES))
+        _write_lines(fh, reads.matrix)
+
+
+def _write_lines(fh, matrix: np.ndarray) -> None:
+    """Each row of the code ``matrix`` as a text line, a block of rows at a time."""
+    N, width = matrix.shape
+    step = _block_rows(width + 1)
+    rows = np.empty((min(step, N), width + 1), dtype=np.uint8)
+    rows[:, -1] = 4
+    for i in range(0, N, step):
+        block = matrix[i : i + step]
+        rows[: len(block), :-1] = block
+        fh.write(rows[: len(block)].tobytes().translate(_READ_ROW_BYTES))
 
 
 def _reads_header(line: str, where: str) -> tuple[int, int, int]:

@@ -481,17 +481,22 @@ class TestWindowMass:
 
     def test_size_rule(self, monkeypatch):
         """The windows are sorted when they are fewer than _FILTER_RATIO a
-        wanted key, and filtered from there up."""
-        counted = []
+        wanted key, and filtered (sorted with a ``keep``) from there up."""
+        kept = []
         sort = kmers._sorted_windows
-        monkeypatch.setattr(kmers, "_sorted_windows", lambda m, k: counted.append(m.size) or sort(m, k))
+
+        def spy(m, k, keep=None, spill=None):
+            kept.append(keep is not None)
+            return sort(m, k, keep, spill)
+
+        monkeypatch.setattr(kmers, "_sorted_windows", spy)
         matrix = np.zeros((2, 12), dtype=np.uint8)  # 2 x 10 windows at k = 3, all AAA
         most = 20 // kmers._FILTER_RATIO  # wanted keys the windows are filtered for
         for n_wanted, filtered in ((most, True), (most + 1, False)):
             wanted = np.arange(n_wanted, dtype=np.uint64)  # AAA is 0
-            counted.clear()
+            kept.clear()
             assert window_mass(matrix, 3, wanted) == 20
-            assert counted == ([] if filtered else [24])
+            assert kept == [filtered]
 
     def test_no_reads_no_windows(self):
         """As a read set of no reads counts to no k-mers, whatever L."""
@@ -519,6 +524,40 @@ class TestWindowMass:
                 assert window_mass(matrix, k, wanted) == expected
         finally:
             sys.setswitchinterval(interval)
+
+    @settings(deadline=None)
+    @given(
+        windows_case(),
+        st.booleans(),
+        st.sampled_from([1, 5, 2**18]),
+        st.sampled_from([1, 3, 64]),
+        st.integers(1, 3),
+    )
+    @example(_rows(32, 160, 3, 6, lead="GT"), True, 5, 64, 2)  # keys >= 2^63, column cuts
+    @example(_rows(32, 32, 4, 7, lead="T"), True, 1, 1, 3)  # k = L, keys >= 2^63
+    @example(_rows(21, 300, 2, 5), True, 5, 64, 3)  # reads longer than a piece
+    @example(_rows(21, 300, 2, 5), False, 5, 64, 3)  # no keep: every window, no spill
+    def test_spill_contract(self, case, filtered, candidates, piece, cpus):
+        """Every spill is sorted and ``_CANDIDATES`` long; the spills and the
+        returned array together are the kept windows, as a multiset; with no
+        ``keep``, nothing is spilled."""
+        k, rows = case
+        matrix = np.array([string_to_codes(r) for r in rows])
+        windows = [encode_kmer(r[i : i + k]) for r in rows for i in range(len(r) - k + 1)]
+        keep = (lambda v: v % 3 == 0) if filtered else None
+        spills = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kmers, "_CANDIDATES", candidates)
+            mp.setattr(kmers, "_PIECE", piece)
+            mp.setattr(kmers, "_cpus", lambda: cpus)
+            rest = kmers._sorted_windows(matrix, k, keep, lambda vals: spills.append(vals.copy()))
+        assert filtered or not spills
+        for vals in spills:
+            assert vals.size == candidates and np.all(vals[:-1] <= vals[1:])
+        assert np.all(rest[:-1] <= rest[1:])
+        got = np.sort(np.concatenate(spills + [rest]))
+        want = np.sort(np.array([v for v in windows if not filtered or v % 3 == 0], dtype=np.uint64))
+        assert np.array_equal(got, want)
 
     def test_peak_is_bounded_by_the_keys_not_the_windows(self):
         """Measuring the reads holds the hash table (at most 16 bytes a

@@ -81,6 +81,15 @@ class TestFasta:
         assert all(len(line) <= 70 for line in body_lines)
         assert read_fasta(path)[0].seq == seq
 
+    def test_write_peak_is_one_block(self, tmp_path):
+        """A 1e6-base record is written a block of lines at a time: the
+        peak is one block's codes, bytes and text (three ``_BLOCK_BYTES``)
+        with a fourth to spare, not line strings of the whole record."""
+        seq = generate_iid_sequence(10**6, (0.4, 0.2, 0.2, 0.2), rng_seed=3)
+        peak = _peak_bytes(write_fasta, tmp_path / "x.fa", [FastaRecord("x", seq)])
+        assert peak <= 4 * seqio._BLOCK_BYTES
+        assert read_fasta(tmp_path / "x.fa")[0].seq == seq
+
     @given(seqs=st.lists(dna, min_size=1, max_size=4))
     def test_round_trip_property(self, tmp_path_factory, seqs):
         path = tmp_path_factory.mktemp("fa") / "r.fa"

@@ -157,8 +157,6 @@ def estimate(
         raise MutrateError(f"x has {x_len} bases but y has {y_len}; a substitution keeps the length")
     if est in KMER_BASED:
         x_table = as_table(x, k)
-        if isinstance(y, KmerTable):
-            as_table(y, x_table.k)  # checks its k
         if est is EstimatorId.GENERAL_K:
             return estimate_general_k(x_table, y, subset)
         if est is EstimatorId.LARGE_K_SEQ:

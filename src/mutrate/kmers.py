@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import os
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Mapping
@@ -83,28 +82,18 @@ def packed_hamming(a, b) -> np.ndarray:
 
 # most keys of either side one merge block holds, 256 KB of uint64 each
 _BLOCK = 1 << 15
-# the merge runs when wanted has at least 1/_MERGE_RATIO as many keys as keys
-_MERGE_RATIO = 4
 
 
 def lookup(keys: np.ndarray, values: np.ndarray, wanted) -> np.ndarray:
     """``values`` at the ``wanted`` packed keys; zero where a key is absent.
 
     ``keys`` and ``wanted`` are both sorted ascending and unique, and
-    ``values`` is aligned with ``keys``. Two exact paths give the same
-    array; the sizes pick one:
-
-    * search: one ``searchsorted`` of every wanted key, when ``wanted``
-      has fewer than a quarter (1/``_MERGE_RATIO``) as many keys as ``keys``;
-    * merge: otherwise. Cuts at every ``_BLOCK``-th key of either side split
-      both into blocks of at most ``_BLOCK`` keys a side; a block's two runs
-      are merged by one stable argsort, and equal neighbours are the
-      matches. Memory beyond the output is bounded by the block.
+    ``values`` is aligned with ``keys``. Cuts at every ``_BLOCK``-th key of
+    either side split both into blocks of at most ``_BLOCK`` keys a side; a
+    block's two runs are merged by one stable argsort, and equal neighbours
+    are the matches. Memory beyond the output is bounded by the block.
     """
     wanted = np.asarray(wanted, dtype=np.uint64)
-    if _MERGE_RATIO * wanted.size < keys.size:
-        idx = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
-        return np.where(keys[idx] == wanted, values[idx], 0)
     out = np.zeros(wanted.shape, dtype=values.dtype)
     cuts = np.union1d(wanted[::_BLOCK], keys[::_BLOCK])
     w_edges = np.append(np.searchsorted(wanted, cuts), wanted.size)
@@ -154,39 +143,32 @@ def _pack_windows(block: np.ndarray, k: int, out: np.ndarray) -> None:
         level, m = np.bitwise_or(nxt, level[:, m:], out=nxt), 2 * m
 
 
-def _on_threads(pool, workers: int, task, spans) -> None:
-    """``task(*span)`` for every span, on this thread and ``workers`` of
-    ``pool``'s; a thread takes the next span whenever it is free, so a thread
-    that starts late or runs slowly takes fewer. Raises what a task raised."""
-    todo, taking = iter(spans), threading.Lock()
+def _on_threads(T: int, task, spans) -> None:
+    """``task(*span)`` for every span, on this thread and T - 1 started for
+    the call; a thread takes the next span whenever it is free, so a thread
+    that starts late or runs slowly takes fewer. Once every helper is
+    joined, raises what a task raised."""
+    todo, taking, raised = iter(spans), threading.Lock(), []
 
     def drain() -> None:
-        while True:
-            with taking:
-                span = next(todo, None)
-            if span is None:
-                return
-            task(*span)
+        try:
+            while True:
+                with taking:
+                    span = next(todo, None)
+                if span is None:
+                    return
+                task(*span)
+        except BaseException as exc:
+            raised.append(exc)
 
-    helpers = [pool.submit(drain) for _ in range(workers)]
+    helpers = [threading.Thread(target=drain) for _ in range(T - 1)]
+    for helper in helpers:
+        helper.start()
     drain()
-    for done in helpers:
-        done.result()
-
-
-@contextmanager
-def _workers(T: int):
-    """``run(task, spans)``, which calls ``task(*span)`` for every span: in
-    turn when T is 1, else on this thread and T - 1 pooled ones
-    (:func:`_on_threads`)."""
-    if T == 1:
-        yield lambda task, spans: [task(*span) for span in spans]
-        return
-    # imported here, not at the top: it loads logging, several ms of every start
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(T - 1) as pool:
-        yield lambda task, spans: _on_threads(pool, T - 1, task, spans)
+    for helper in helpers:
+        helper.join()
+    if raised:
+        raise raised[0]
 
 
 def _cut(vals: np.ndarray, edges: list[int]) -> None:
@@ -267,13 +249,12 @@ def _sorted_windows(matrix: np.ndarray, k: int, keep=None, spill=None) -> np.nda
                 buffer[filled : filled + take] = win[:take]
                 filled, win = filled + take, win[take:]
 
-    with _workers(_threads(n)) as run:
-        run(pack, [(r, c) for r in range(0, N, rows) for c in range(0, W, cols)])
-        out = buffer.reshape(-1)[:filled]
-        T = _threads(filled)
-        edges = [filled * i // T for i in range(T + 1)]
-        _cut(out, edges)
-        run(lambda first, last: out[first:last].sort(), zip(edges, edges[1:]))
+    _on_threads(_threads(n), pack, [(r, c) for r in range(0, N, rows) for c in range(0, W, cols)])
+    out = buffer.reshape(-1)[:filled]
+    T = _threads(filled)
+    edges = [filled * i // T for i in range(T + 1)]
+    _cut(out, edges)
+    _on_threads(T, lambda first, last: out[first:last].sort(), zip(edges, edges[1:]))
     return out
 
 

@@ -100,7 +100,7 @@ def _record_codes(lines: list[str], linenos: list[int], on_invalid: str) -> tupl
 def read_fasta(path: str | Path, on_invalid: str = "error") -> list[FastaRecord]:
     """:func:`parse_fasta` of a file; errors name the file."""
     try:
-        return parse_fasta(Path(path).read_text(), on_invalid)
+        return parse_fasta(Path(path).read_text(encoding="utf-8"), on_invalid)
     except (FastaParseError, UnicodeDecodeError) as exc:
         raise FastaParseError(f"{path}: {exc}") from None
 

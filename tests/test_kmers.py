@@ -1,4 +1,3 @@
-import concurrent.futures
 import sys
 import threading
 import tracemalloc
@@ -304,12 +303,12 @@ class TestPiecesAndThreads:
         assert oracles.table_counts(seq) == oracles.circular_kmer_counts(rows[0], k)
 
     def test_one_thread_runs_without_a_pool(self, monkeypatch):
-        """One CPU, or fewer than two pieces of windows, sorts inline."""
+        """One CPU, or fewer than two pieces of windows, starts no thread."""
 
-        def no_pool(*args):
-            raise AssertionError("a pool was created")
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(threading, "Thread", no_thread)
         x = CircularSequence.from_string("ACGTTGCAAG" * 10)
         monkeypatch.setattr(kmers, "_PIECE", 4)
         monkeypatch.setattr(kmers, "_cpus", lambda: 1)
@@ -319,13 +318,14 @@ class TestPiecesAndThreads:
         assert count_kmers_sequence(x, 5).total == 100
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
-        """Pieces packed on the pool's threads raise; the count raises it."""
+        """Pieces packed on a helper thread raise; the count raises it once
+        every helper is joined, and leaves none running."""
         failed = threading.Event()
         pack = kmers._pack_windows
 
         def pack_or_fail(block, k, out):
             if threading.current_thread() is threading.main_thread():
-                assert failed.wait(timeout=10), "no piece reached a pool thread"
+                assert failed.wait(timeout=10), "no piece reached a helper thread"
                 return pack(block, k, out)
             failed.set()
             raise RuntimeError("worker failed")
@@ -333,8 +333,10 @@ class TestPiecesAndThreads:
         monkeypatch.setattr(kmers, "_pack_windows", pack_or_fail)
         monkeypatch.setattr(kmers, "_PIECE", 4)
         monkeypatch.setattr(kmers, "_cpus", lambda: 3)
+        before = threading.active_count()
         with pytest.raises(RuntimeError, match="worker failed"):
             count_kmers_sequence(CircularSequence.from_string("ACGTTGCAAG" * 10), 5)
+        assert threading.active_count() == before
 
     def test_peak_is_the_windows_buffer_and_its_tally(self):
         """A count holds its n windows (8 bytes each), one run-start flag per
@@ -709,7 +711,7 @@ class TestLookup:
     @example(([1, 5, 9, 2**64 - 1], [1.5, 0.0, 2.5, 3.5], [1, 5, 9, 2**64 - 1], 1))  # identical, k = 32
     @example(([2, 4, 6, 8], [1, 2, 3, 4], [1, 3, 5, 7, 9], 2))  # disjoint, interleaved
     def test_against_dict_oracle(self, case):
-        """Both paths return the value stored at each wanted key, 0 where it
+        """The join returns the value stored at each wanted key, 0 where it
         is absent, in the values' dtype, element by element."""
         keys, values, wanted = _as_arrays(*case[:3])
         with pytest.MonkeyPatch.context() as mp:
@@ -721,9 +723,9 @@ class TestLookup:
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n_wanted", [99, 100, 101])
-    def test_either_side_of_the_size_rule(self, n_wanted):
-        """400 keys: 99 wanted keys are searched, 100 and 101 merged in blocks
-        of 8 wanted keys; every second wanted key is present."""
+    def test_fewer_wanted_than_keys(self, n_wanted):
+        """400 keys and 99 to 101 wanted, merged in blocks of 8 keys a side,
+        most of which hold keys alone; every second wanted key is present."""
         keys = np.arange(0, 800, 2, dtype=np.uint64)
         values = np.arange(1, 401, dtype=np.int64)
         wanted = np.array([4 * i + i % 2 for i in range(n_wanted)], dtype=np.uint64)
@@ -732,19 +734,22 @@ class TestLookup:
             got = kmers.lookup(keys, values, wanted)
         assert got.tolist() == [0 if i % 2 else 2 * i + 1 for i in range(n_wanted)]
 
-    @pytest.mark.parametrize("layout", ["spread", "front"])
+    @pytest.mark.parametrize("layout", ["spread", "front", "few"])
     def test_memory_bounded_by_the_block(self, layout):
         """Joining four times the keys takes no more memory beyond the
         output: the merge holds one block of either side at a time, also
-        where the wanted keys leave most of the keys past their last one."""
+        where the wanted keys leave most of the keys past their last one,
+        and where one key in a thousand is wanted."""
 
         def extra_bytes(n):
             rng = np.random.default_rng(n)
             keys = np.unique(rng.integers(0, 4**21, size=n, dtype=np.uint64))
             if layout == "spread":  # half of x's keys survive on y, as at a high rate
                 wanted = np.union1d(keys[::2], rng.integers(0, 4**21, size=n // 2, dtype=np.uint64))
-            else:
+            elif layout == "front":
                 wanted = keys[: keys.size // 3]
+            else:
+                wanted = keys[::1000]
             values = rng.integers(1, 100, size=keys.size)
             tracemalloc.start()
             try:

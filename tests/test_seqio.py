@@ -1,5 +1,9 @@
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +84,18 @@ class TestFasta:
         body_lines = text.strip().split("\n")[1:]
         assert all(len(line) <= 70 for line in body_lines)
         assert read_fasta(path)[0].seq == seq
+
+    def test_names_read_as_utf8_whatever_the_locale(self, tmp_path):
+        """A name is written as UTF-8 and read back as UTF-8, also in a process
+        whose locale encoding is ASCII."""
+        path = tmp_path / "x.fa"
+        write_fasta(path, [FastaRecord("séq", CircularSequence.from_string("ACGT"))])
+        code = "import sys; from mutrate.seqio import read_fasta; print(ascii(read_fasta(sys.argv[1])[0].name))"
+        src = str(Path(seqio.__file__).parents[1])
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == ascii("séq")
 
     def test_write_peak_is_one_block(self, tmp_path):
         """A 1e6-base record is written a block of lines at a time: the

@@ -266,9 +266,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--seed", dest="master_seed", metavar="SEED", type=_sci_int, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--fasta", help="reference sequences from a FASTA file")
-    group.add_argument("--length", type=_sci_int, help="i.i.d. reference length")
-    p.add_argument("--dist", type=_dist, default=(0.25, 0.25, 0.25, 0.25))
-    p.add_argument("--refs", type=_sci_int, default=1, help="number of i.i.d. references")
+    group.add_argument("--length", type=_listed(_sci_int, "lengths"), help="i.i.d. reference lengths, comma-separated")
+    p.add_argument("--dist", type=_dist, nargs="+", help="A,C,G,T groups (default uniform); each length runs with each")
+    p.add_argument("--refs", type=_sci_int, help="number of i.i.d. references per source (default 1)")
     p.add_argument(
         "-k", dest="k_values", metavar="K", type=_listed(_sci_int, "k values"), help="k values, comma-separated"
     )
@@ -407,11 +407,17 @@ def _cmd_experiment(args, parser: argparse.ArgumentParser) -> int:
     if EstimatorId.LARGE_K_READS in args.estimators and args.s_grid is None:
         # s=0 is legitimate, but for this estimator it must be a decision
         parser.error("large-k-reads requires an explicit --s")
-    source = FastaSource(args.fasta) if args.fasta is not None else IidSource(args.length, args.dist, args.refs)
     given = vars(args)
     try:
+        if args.fasta is None:
+            refs = 1 if args.refs is None else args.refs
+            sources = [IidSource(g, dist, refs) for g in args.length for dist in args.dist or [(0.25,) * 4]]
+        elif (args.dist, args.refs) != (None, None):
+            parser.error("--dist and --refs describe i.i.d. references and do not apply to --fasta")
+        else:
+            sources = [FastaSource(args.fasta)]
         config = ExperimentConfig(
-            source, **{f.name: given[f.name] for f in fields(ExperimentConfig)[1:] if given[f.name] is not None}
+            sources, **{f.name: given[f.name] for f in fields(ExperimentConfig)[1:] if given[f.name] is not None}
         )
     except ValueError as exc:
         parser.error(str(exc))

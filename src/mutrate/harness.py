@@ -1,18 +1,20 @@
 """Monte-Carlo harness: sweep estimator/parameter grids over seeded trials
 and summarize relative-error distributions per grid point.
 
-An experiment fixes a sequence source and a mode, then crosses estimators,
-k values, substitution rates, and (in read mode) sequencer error rates and
-coverages. Each grid point runs ``trials_per_point`` trials; trials cycle
-round-robin over the references, and the reference index is recorded so
-pooled statistics can be regrouped later. Relative error e = p_raw / p - 1
-uses the raw, unclamped estimate so edge bias stays visible. Trials where
-an estimator is undefined (singular denominator, no root, empty retained
-set) stay in the output with an error code instead of disappearing.
+An experiment fixes a mode and sweeps sequence sources, crossing each with
+estimators, k values, substitution rates, and (in read mode) sequencer
+error rates and coverages. Each grid point runs ``trials_per_point``
+trials; trials cycle round-robin over the source's references, and the
+source and reference indices are recorded so pooled statistics can be
+regrouped later. Relative error e = p_raw / p - 1 uses the raw, unclamped
+estimate so edge bias stays visible. Trials where an estimator is undefined
+(singular denominator, no root, empty retained set) stay in the output with
+an error code instead of disappearing.
 
 Reproducibility: every seed is derived by hashing the master seed, the grid
 point, and the trial index, so runs are stable under grid reordering and
-independent of execution order.
+independent of execution order. Source j draws under master seed
+``master_seed + j``, as a one-source experiment at that master seed would.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .model import (
     CircularSequence,
     ReadSet,
     SubstitutionChannel,
+    check_distribution,
     encode_base,
     generate_iid_sequence,
     mutate,
@@ -56,8 +59,8 @@ from .model import (
 )
 from .seqio import read_fasta
 
-TRIALS_FORMAT = "mutrate-trials-v1"
-SUMMARY_FORMAT = "mutrate-summary-v1"
+TRIALS_FORMAT = "mutrate-trials-v2"
+SUMMARY_FORMAT = "mutrate-summary-v2"
 
 DEFAULT_COVERAGE = 30.0
 DEFAULT_READ_LEN = 1000
@@ -188,8 +191,7 @@ class IidSource:
             raise ValueError(f"length must be >= 1, got {self.length}")
         if self.num_references < 1:
             raise ValueError(f"num_references must be >= 1, got {self.num_references}")
-        if len(self.distribution) != 4:
-            raise ValueError("distribution must have 4 entries (A, C, G, T)")
+        check_distribution(self.distribution)
 
 
 @dataclass(frozen=True)
@@ -206,18 +208,20 @@ Source = Union[IidSource, FastaSource]
 @dataclass(frozen=True)
 class GridPoint:
     """One cell of the sweep. ``s`` and ``coverage`` are None outside read
-    mode, where they do not apply."""
+    mode, where they do not apply; ``source`` indexes the config's
+    ``sources``."""
 
     estimator: EstimatorId
     k: int
     p: float
     s: float | None = None
     coverage: float | None = None
+    source: int = 0
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    source: Source
+    sources: tuple[Source, ...]
     mode: Mode
     estimators: tuple[EstimatorId, ...]
     p_grid: tuple[float, ...]
@@ -233,6 +237,9 @@ class ExperimentConfig:
     y_read_len: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "sources", tuple(self.sources))
+        if not self.sources:
+            raise ValueError("sources must be nonempty")
         mode = Mode(self.mode)
         object.__setattr__(self, "mode", mode)
         estimators = tuple(EstimatorId(e) for e in self.estimators)
@@ -299,17 +306,18 @@ class ExperimentConfig:
             raise ValueError("y_read_len must cover the largest k")
 
     def grid_points(self) -> Iterator[GridPoint]:
-        """Deterministic sweep order: estimator, k, p, then (read mode) s
-        and coverage."""
-        for est in self.estimators:
-            for k in self.k_values:
-                for p in self.p_grid:
-                    if self.mode is Mode.NONSEQ:
-                        yield GridPoint(est, k, p)
-                    else:
-                        for s in self.s_grid:
-                            for c in self.coverage_grid:
-                                yield GridPoint(est, k, p, s, c)
+        """Deterministic sweep order: source, estimator, k, p, then (read
+        mode) s and coverage."""
+        for j in range(len(self.sources)):
+            for est in self.estimators:
+                for k in self.k_values:
+                    for p in self.p_grid:
+                        if self.mode is Mode.NONSEQ:
+                            yield GridPoint(est, k, p, source=j)
+                        else:
+                            for s in self.s_grid:
+                                for c in self.coverage_grid:
+                                    yield GridPoint(est, k, p, s, c, j)
 
 
 @dataclass(frozen=True)
@@ -321,6 +329,7 @@ class TrialRecord:
     p: float
     s: float | None
     coverage: float | None
+    source: int
     reference: int
     trial: int
     seed: int
@@ -338,7 +347,7 @@ class TrialRecord:
 
     @property
     def grid_point(self) -> GridPoint:
-        return GridPoint(self.estimator, self.k, self.p, self.s, self.coverage)
+        return GridPoint(self.estimator, self.k, self.p, self.s, self.coverage, self.source)
 
 
 @dataclass(frozen=True)
@@ -402,12 +411,10 @@ def summarize(records: Sequence[TrialRecord]) -> dict[GridPoint, BoxStats]:
 class _SeedBook:
     """Hands out derived seeds and insists they never collide."""
 
-    def __init__(self, master: int):
-        self.master = master
+    def __init__(self):
         self._used: dict[int, tuple] = {}
 
-    def seed(self, *parts) -> int:
-        key = (self.master,) + parts
+    def seed(self, *key) -> int:
         s = derive_seed(*key)
         prev = self._used.get(s)
         if prev is not None and prev != key:
@@ -429,11 +436,11 @@ class _Reference:
         return self.x_tables[k]
 
 
-def _load_references(config: ExperimentConfig, seeds: _SeedBook) -> list[_Reference]:
-    src = config.source
+def _load_references(config: ExperimentConfig, j: int, master: int, seeds: _SeedBook) -> list[_Reference]:
+    src = config.sources[j]
     if isinstance(src, IidSource):
         xs = [
-            generate_iid_sequence(src.length, src.distribution, seeds.seed("ref", i))
+            generate_iid_sequence(src.length, src.distribution, seeds.seed(master, "ref", i))
             for i in range(src.num_references)
         ]
     else:
@@ -444,7 +451,7 @@ def _load_references(config: ExperimentConfig, seeds: _SeedBook) -> list[_Refere
             for name in ("read_len", "y_read_len"):
                 read_len = getattr(config, name)
                 if read_len is not None and read_len > len(x):
-                    raise ValueError(f"reference {i}: {name} {read_len} exceeds its length {len(x)}")
+                    raise ValueError(f"source {j}, reference {i}: {name} {read_len} exceeds its length {len(x)}")
         base = None if config.k1_base == "auto" else config.k1_base
         if base is None and not SINGLE_BASE.isdisjoint(config.estimators):
             base = choose_k1_base(x)
@@ -490,17 +497,30 @@ def _estimate_trial(
 def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     """Run every trial of every grid point, in deterministic order.
 
-    Per trial: the seed is derived from (master seed, grid point, trial
-    index); the reference cycles round-robin; the reference is mutated at
-    the grid point's rate and the grid point's estimator runs on whatever
-    data its mode prescribes.
+    Per trial: the seed is derived from (the source's master seed, grid
+    point, trial index); the source's reference cycles round-robin; the
+    reference is mutated at the grid point's rate and the grid point's
+    estimator runs on whatever data its mode prescribes.
     """
-    seeds = _SeedBook(config.master_seed)
-    refs = _load_references(config, seeds)
+    seeds = _SeedBook()
+    points = list(config.grid_points())
     records: list[TrialRecord] = []
-    for gp in config.grid_points():
+    for j in range(len(config.sources)):
+        records += _source_trials(config, j, [gp for gp in points if gp.source == j], seeds)
+    return records
+
+
+def _source_trials(
+    config: ExperimentConfig, j: int, points: list[GridPoint], seeds: _SeedBook
+) -> list[TrialRecord]:
+    """The trials of source ``j``'s grid points, drawn under master seed
+    ``master_seed + j``. Its references are dropped on return."""
+    master = config.master_seed + j
+    refs = _load_references(config, j, master, seeds)
+    records: list[TrialRecord] = []
+    for gp in points:
         channel = SubstitutionChannel(gp.p)
-        gp_key = ("grid", gp.estimator.value, gp.k, gp.p, gp.s, gp.coverage)
+        gp_key = (master, "grid", gp.estimator.value, gp.k, gp.p, gp.s, gp.coverage)
         for trial in range(config.trials_per_point):
             ref = refs[trial % len(refs)]
             trial_key = gp_key + (trial,)
@@ -607,10 +627,11 @@ def _json_value(value):
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    """``asdict(config)``, with the source's ``kind`` first and the subset's
-    unset fields left out."""
+    """``asdict(config)``, with each source's ``kind`` first and the
+    subset's unset fields left out."""
     d = asdict(config)
-    d["source"] = {"kind": "iid" if isinstance(config.source, IidSource) else "fasta", **d["source"]}
+    kinds = ["iid" if isinstance(src, IidSource) else "fasta" for src in config.sources]
+    d["sources"] = [{"kind": kind, **entry} for kind, entry in zip(kinds, d["sources"])]
     if d["subset"] is not None:
         d["subset"] = {key: v for key, v in d["subset"].items() if v is not None}
     return _json_value(d)

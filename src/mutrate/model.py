@@ -218,6 +218,21 @@ def sample_reads(
     return ReadSet(reads, G)
 
 
+def check_distribution(distribution) -> np.ndarray:
+    """``distribution`` as a float64 array, once it is checked to be 4
+    finite, nonnegative probabilities (A, C, G, T) that sum to 1."""
+    dist = np.asarray(distribution, dtype=np.float64)
+    if dist.shape != (4,):
+        raise ValueError("distribution must have exactly 4 probabilities (A, C, G, T)")
+    if not np.all(np.isfinite(dist)):
+        raise ValueError(f"distribution probabilities must be finite, got {dist.tolist()}")
+    if np.any(dist < 0):
+        raise ValueError("distribution probabilities must be nonnegative")
+    if abs(float(dist.sum()) - 1.0) > 1e-9:
+        raise ValueError(f"distribution must sum to 1, got {float(dist.sum())!r}")
+    return dist
+
+
 def generate_iid_sequence(length: int, distribution, rng_seed: int) -> CircularSequence:
     """Draw a sequence of ``length`` symbols i.i.d. from a 4-way distribution
     over (A, C, G, T).
@@ -228,15 +243,7 @@ def generate_iid_sequence(length: int, distribution, rng_seed: int) -> CircularS
     """
     if length < 1:
         raise ValueError("sequence length must be >= 1")
-    dist = np.asarray(distribution, dtype=np.float64)
-    if dist.shape != (4,):
-        raise ValueError("distribution must have exactly 4 probabilities (A, C, G, T)")
-    if not np.all(np.isfinite(dist)):
-        raise ValueError(f"distribution probabilities must be finite, got {dist.tolist()}")
-    if np.any(dist < 0):
-        raise ValueError("distribution probabilities must be nonnegative")
-    if abs(float(dist.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"distribution must sum to 1, got {float(dist.sum())!r}")
+    dist = check_distribution(distribution)
     cdf = (dist / dist.sum()).cumsum()
     cdf /= cdf[-1]
     u = np.random.default_rng(rng_seed).random(length)

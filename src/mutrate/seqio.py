@@ -106,7 +106,13 @@ def read_fasta(path: str | Path, on_invalid: str = "error") -> list[FastaRecord]
 
 
 def write_fasta(path: str | Path, records: list[FastaRecord]) -> None:
-    """Each record as a ``>name`` line, then lines of ``FASTA_LINE_WIDTH`` symbols."""
+    """Each record as a ``>name`` line, then lines of ``FASTA_LINE_WIDTH`` symbols.
+    A name that :func:`read_fasta` would not read back (blank, or holding a
+    line break ``str.splitlines`` knows) is a ValueError, raised before the
+    file is opened."""
+    for rec in records:
+        if not rec.name.strip() or rec.name.splitlines() != [rec.name]:
+            raise ValueError(f"FASTA record name {rec.name!r} is blank or holds a line break")
     with Path(path).open("wb") as fh:
         for rec in records:
             codes = rec.seq.codes

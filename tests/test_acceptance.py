@@ -8,6 +8,7 @@ records a qualitative sweep without asserting on it.
 """
 
 import itertools
+import json
 import math
 import time
 
@@ -34,6 +35,7 @@ from mutrate.harness import (
     Mode,
     run_experiment,
     summarize,
+    write_summary_json,
     write_trials_csv,
 )
 from mutrate.kmers import KmerTable, count_kmers_reads, count_kmers_sequence, expected_kmer_count
@@ -263,7 +265,7 @@ def test_criterion_5_k1_single_concentration():
 def test_criterion_6_read_mode_statistics():
     t0 = time.perf_counter()
     cfg_k1 = ExperimentConfig(
-        source=IidSource(100_000, (0.4, 0.2, 0.2, 0.2)),
+        sources=(IidSource(100_000, (0.4, 0.2, 0.2, 0.2)),),
         mode=Mode.SEQ,
         estimators=(EstimatorId.K1_READS,),
         p_grid=(0.1,),
@@ -280,7 +282,7 @@ def test_criterion_6_read_mode_statistics():
     mean_ok = abs(p_hats.mean() - 0.1) <= 4 * se
 
     cfg_lkr = ExperimentConfig(
-        source=IidSource(100_000, (0.25, 0.25, 0.25, 0.25)),
+        sources=(IidSource(100_000, (0.25, 0.25, 0.25, 0.25)),),
         mode=Mode.SEQ,
         estimators=(EstimatorId.LARGE_K_READS,),
         p_grid=(0.05,),
@@ -354,7 +356,7 @@ def test_criterion_7_lambda_rule():
 def test_criterion_8_deterministic_csv(tmp_path):
     t0 = time.perf_counter()
     cfg = ExperimentConfig(
-        source=IidSource(100_000, (0.35, 0.25, 0.2, 0.2)),
+        sources=(IidSource(100_000, (0.35, 0.25, 0.2, 0.2)),),
         mode=Mode.SEQ,
         estimators=(EstimatorId.K1_READS, EstimatorId.LARGE_K_READS),
         p_grid=(0.05, 0.1),
@@ -384,39 +386,41 @@ def test_criterion_8_deterministic_csv(tmp_path):
 
 def test_criterion_9_base_deviation_sweep(tmp_path):
     t0 = time.perf_counter()
-    rows = []
-    records_all = []
-    for point, (g, f_a) in enumerate(
-        itertools.product((100_000, 1_000_000), (0.25, 0.30, 0.35, 0.40))
-    ):
-        rest = (1 - f_a) / 3
-        cfg = ExperimentConfig(
-            source=IidSource(g, (f_a, rest, rest, rest)),
-            mode=Mode.SEQ,
-            estimators=(EstimatorId.K1_READS,),
-            p_grid=(0.05,),
-            s_grid=(0.05,),
-            coverage_grid=(30.0,),
-            read_len=1000,
-            trials_per_point=8,
-            master_seed=900 + point,
-        )
-        recs = run_experiment(cfg)
-        records_all.extend(recs)
-        stats = next(iter(summarize(recs).values()))
-        rows.append((f_a, g, stats))
-    write_trials_csv(tmp_path / "sweep.csv", records_all)
+    # eight sources, lengths outer; source j draws under master seed 900 + j
+    cfg = ExperimentConfig(
+        sources=tuple(
+            IidSource(g, (f_a, *[(1 - f_a) / 3] * 3))
+            for g, f_a in itertools.product((100_000, 1_000_000), (0.25, 0.30, 0.35, 0.40))
+        ),
+        mode=Mode.SEQ,
+        estimators=(EstimatorId.K1_READS,),
+        p_grid=(0.05,),
+        s_grid=(0.05,),
+        coverage_grid=(30.0,),
+        read_len=1000,
+        trials_per_point=8,
+        master_seed=900,
+    )
+    records = run_experiment(cfg)
+    write_trials_csv(tmp_path / "sweep.csv", records)
+    write_summary_json(tmp_path / "sweep.json", cfg, records)
+    summary = json.loads((tmp_path / "sweep.json").read_text())
     print("\n  f_A/G      G    median rel err   IQR width   errors")
-    for f_a, g, st in rows:
-        iqr = st.q3 - st.q1 if st.count else float("nan")
-        med = st.median if st.count else float("nan")
-        print(f"  {f_a:.2f}  {g:>9,d}   {med:+12.4f}   {iqr:9.4f}   {st.error_count}")
+    for group in summary["groups"]:
+        source = summary["config"]["sources"][group["source"]]
+        nan = float("nan")
+        iqr = group["q3"] - group["q1"] if group["count"] else nan
+        med = group["median"] if group["count"] else nan
+        print(
+            f"  {source['distribution'][0]:.2f}  {source['length']:>9,d}   {med:+12.4f}   {iqr:9.4f}   "
+            f"{group['error_count']}"
+        )
     # recorded, not asserted: the table above should show error shrinking as
     # |f_A/G - 0.25| and G grow, and instability at exactly 0.25
     report(
         9,
         "base-deviation sweep",
-        len(records_all) == 64,
+        summary["num_trials"] == 64 and [group["source"] for group in summary["groups"]] == list(range(8)),
         "qualitative sweep recorded above; trends documented in README",
         time.perf_counter() - t0,
         600.0,

@@ -220,7 +220,7 @@ def test_read_guarantee_holds_in_simulation(tmp_path):
     write_fasta(path, [FastaRecord("x", CircularSequence.from_string("".join("ACGT"[c] for c in codes)))])
     trials = 200
     config = ExperimentConfig(
-        source=FastaSource(str(path)),
+        sources=(FastaSource(str(path)),),
         mode=Mode.SEQ,
         estimators=(EstimatorId.K1_READS,),
         p_grid=(p,),

@@ -41,6 +41,13 @@ class TestGenerate:
         recs = read_fasta(out)
         assert len(recs) == 1 and len(recs[0].seq) == 1000
 
+    def test_gen_blank_name_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        # the file used to be written, then rejected by mutate: header has no name
+        out = tmp_path / "x.fa"
+        code, _, err = run(capsys, "gen", "--length", "100", "--seed", "1", "--name", "", "--out", str(out))
+        assert code == 1 and "blank or holds a line break" in err
+        assert not out.exists()
+
     def test_gen_requires_seed(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--length", "100", "--out", str(tmp_path / "x.fa")])
@@ -779,7 +786,7 @@ class TestExperiment:
         assert code == 0
         groups = json.loads(out)
         assert len(groups) == 4
-        assert csv_path.read_text().startswith("# format: mutrate-trials-v1\n")
+        assert csv_path.read_text().startswith("# format: mutrate-trials-v2\n")
         summary = json.loads(json_path.read_text())
         assert summary["config"]["estimators"] == ["k1-single", "k1-gc"]
 
@@ -817,6 +824,28 @@ class TestExperiment:
         assert exc.value.code == 2
         assert "repeats a value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [["--dist", "0.1,0.1,0.1,0.7"], ["--refs", "5"]])
+    def test_iid_flags_with_fasta_usage_error(self, tmp_path, capsys, extra):
+        # these flags describe drawn references; a FASTA source used to ignore them
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--mode", "nonseq", "--estimators", "k1-single", "--p", "0.1", "--trials", "1",
+                  "--seed", "1", "--fasta", str(tmp_path / "x.fa"), *extra, "--out-csv", str(out)])
+        assert exc.value.code == 2
+        assert "do not apply to --fasta" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_dist_in_a_later_group_usage_error(self, tmp_path, capsys):
+        # checked when the config is built, before any source runs
+        out = tmp_path / "t.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--mode", "nonseq", "--estimators", "k1-single", "--p", "0.1", "--trials", "1",
+                  "--seed", "1", "--length", "1000", "--dist", "0.4,0.2,0.2,0.2", "0.5,0.5,0.5,0.5",
+                  "--out-csv", str(out)])
+        assert exc.value.code == 2
+        assert "distribution must sum to 1, got 2.0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_y_read_len_past_the_reference_exits_one(self, capsys):
         code, out, err = run(
             capsys, "experiment", "--mode", "seq", "--estimators", "k1-reads,large-k-reads",
@@ -824,7 +853,7 @@ class TestExperiment:
             "--s", "0.01", "--read-len", "100", "--y-read-len", "1000",
         )
         assert (code, out) == (1, "")
-        assert err == "error: reference 0: y_read_len 1000 exceeds its length 500\n"
+        assert err == "error: source 0, reference 0: y_read_len 1000 exceeds its length 500\n"
 
     @pytest.mark.parametrize(
         "flags, config",
@@ -834,7 +863,7 @@ class TestExperiment:
                 "--dist 0.4,0.2,0.2,0.2 --refs 2 -k 10,12 --s 0,0.01 --coverage 5,8 --read-len 60 --base C "
                 "--y-coverage 4 --y-read-len 50",
                 lambda fasta: ExperimentConfig(
-                    IidSource(3000, (0.4, 0.2, 0.2, 0.2), 2), Mode.SEQ,
+                    (IidSource(3000, (0.4, 0.2, 0.2, 0.2), 2),), Mode.SEQ,
                     (EstimatorId.K1_READS, EstimatorId.LARGE_K_READS), p_grid=(0.05, 0.1), trials_per_point=2,
                     master_seed=4, k_values=(10, 12), s_grid=(0.0, 0.01), coverage_grid=(5.0, 8.0), read_len=60,
                     k1_base="C", y_coverage=4.0, y_read_len=50,
@@ -844,13 +873,26 @@ class TestExperiment:
                 "--mode nonseq --estimators k1-single,k1-gc,general-k,large-k-seq --p 0.1 --trials 2 --seed 3 "
                 "--fasta {fasta} -k 4 --subset top:20",
                 lambda fasta: ExperimentConfig(
-                    FastaSource(str(fasta)), Mode.NONSEQ,
+                    (FastaSource(str(fasta)),), Mode.NONSEQ,
                     (EstimatorId.K1_SINGLE, EstimatorId.K1_GC, EstimatorId.GENERAL_K, EstimatorId.LARGE_K_SEQ),
                     p_grid=(0.1,), trials_per_point=2, master_seed=3, k_values=(4,), subset=SubsetSpec.top(20),
                 ),
             ),
+            (
+                # sources are the product of the lengths and the groups, lengths outer
+                "--mode nonseq --estimators k1-single,large-k-seq --p 0.1 --trials 2 --seed 6 -k 8 "
+                "--length 3000,4000 --dist 0.4,0.2,0.2,0.2 0.3,0.3,0.2,0.2 --refs 2",
+                lambda fasta: ExperimentConfig(
+                    tuple(
+                        IidSource(g, dist, 2)
+                        for g in (3000, 4000) for dist in ((0.4, 0.2, 0.2, 0.2), (0.3, 0.3, 0.2, 0.2))
+                    ),
+                    Mode.NONSEQ, (EstimatorId.K1_SINGLE, EstimatorId.LARGE_K_SEQ), p_grid=(0.1,),
+                    trials_per_point=2, master_seed=6, k_values=(8,),
+                ),
+            ),
         ],
-        ids=["seq", "nonseq-fasta"],
+        ids=["seq", "nonseq-fasta", "nonseq-lengths-by-dists"],
     )
     def test_flags_bind_to_config_fields(self, tmp_path, capsys, flags, config):
         """The CLI's sweep writes what the library's does from the config the

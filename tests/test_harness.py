@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ SKEWED = (0.4, 0.2, 0.2, 0.2)
 
 def nonseq_config(**overrides):
     base = dict(
-        source=IidSource(4000, SKEWED),
+        sources=(IidSource(4000, SKEWED),),
         mode=Mode.NONSEQ,
         estimators=(EstimatorId.K1_SINGLE,),
         p_grid=(0.1,),
@@ -142,6 +143,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "overrides, message",
         [
+            (dict(sources=()), "sources must be nonempty"),
             (dict(estimators=()), "estimators must be nonempty"),
             (dict(p_grid=()), "p_grid must be nonempty"),
             (dict(k_values=()), "k_values must be nonempty"),
@@ -183,7 +185,9 @@ class TestConfig:
         [
             ((0, SKEWED), "length must be >= 1, got 0"),
             ((100, SKEWED, 0), "num_references must be >= 1, got 0"),
-            ((100, (0.5, 0.5)), "distribution must have 4 entries (A, C, G, T)"),
+            ((100, (0.5, 0.5)), "distribution must have exactly 4 probabilities (A, C, G, T)"),
+            ((100, (0.5, 0.5, 0.5, 0.5)), "distribution must sum to 1, got 2.0"),
+            ((100, (0.5, 0.5, math.nan, 0.0)), "distribution probabilities must be finite, got [0.5, 0.5, nan, 0.0]"),
         ],
     )
     def test_invalid_iid_source_rejected(self, args, message):
@@ -239,8 +243,29 @@ class TestRunExperiment:
             assert r.s is None and r.coverage is None
             assert r.rel_error == pytest.approx(r.p_raw / r.p - 1.0)
 
+    def test_each_source_runs_as_its_own_config_at_master_seed_plus_its_index(self):
+        a, b = IidSource(4000, SKEWED), IidSource(3000, (0.3, 0.3, 0.2, 0.2), num_references=2)
+        grid = dict(estimators=(EstimatorId.K1_SINGLE, EstimatorId.LARGE_K_SEQ), k_values=(8,), p_grid=(0.1, 0.2))
+        records = run_experiment(nonseq_config(sources=(a, b), trials_per_point=3, **grid))
+        alone = [
+            run_experiment(nonseq_config(sources=(src,), master_seed=42 + j, trials_per_point=3, **grid))
+            for j, src in enumerate((a, b))
+        ]
+        assert [r.source for r in records] == [0] * 12 + [1] * 12
+        assert all(r.ok for r in records)
+        assert [replace(r, source=0) for r in records] == alone[0] + alone[1]
+
+    def test_each_source_is_drawn_when_its_trials_start(self, monkeypatch):
+        calls = []
+        draw, mutate_ = harness.generate_iid_sequence, harness.mutate
+        monkeypatch.setattr(harness, "generate_iid_sequence", lambda *a: calls.append("draw") or draw(*a))
+        monkeypatch.setattr(harness, "mutate", lambda *a: calls.append("mutate") or mutate_(*a))
+        two = (IidSource(500, SKEWED, num_references=2), IidSource(600, SKEWED))
+        run_experiment(nonseq_config(sources=two, p_grid=(0.1, 0.2), trials_per_point=2))
+        assert calls == ["draw", "draw"] + ["mutate"] * 4 + ["draw"] + ["mutate"] * 4
+
     def test_references_round_robin(self):
-        cfg = nonseq_config(source=IidSource(4000, SKEWED, num_references=3), trials_per_point=7)
+        cfg = nonseq_config(sources=(IidSource(4000, SKEWED, num_references=3),), trials_per_point=7)
         records = run_experiment(cfg)
         assert [r.reference for r in records] == [0, 1, 2, 0, 1, 2, 0]
 
@@ -251,7 +276,7 @@ class TestRunExperiment:
         # skew the first so k1-single has signal
         seqs[0] = "A" * 200 + seqs[0][200:]
         write_fasta(path, [FastaRecord(f"r{i}", CircularSequence.from_string(s)) for i, s in enumerate(seqs)])
-        cfg = nonseq_config(source=FastaSource(str(path)), trials_per_point=4)
+        cfg = nonseq_config(sources=(FastaSource(str(path)),), trials_per_point=4)
         records = run_experiment(cfg)
         assert {r.reference for r in records} == {0, 1}
 
@@ -260,7 +285,7 @@ class TestRunExperiment:
         path = tmp_path / "bal.fa"
         write_fasta(path, [FastaRecord("bal", CircularSequence.from_string("ACGT" * 250))])
         cfg = nonseq_config(
-            source=FastaSource(str(path)),
+            sources=(FastaSource(str(path)),),
             estimators=(EstimatorId.K1_GC,),
             trials_per_point=3,
         )
@@ -281,7 +306,7 @@ class TestRunExperiment:
 
     def test_seq_mode_runs_all_read_estimators(self):
         cfg = nonseq_config(
-            source=IidSource(3000, SKEWED),
+            sources=(IidSource(3000, SKEWED),),
             mode=Mode.SEQ,
             estimators=(EstimatorId.K1_READS, EstimatorId.LARGE_K_READS),
             k_values=(8,),
@@ -300,7 +325,7 @@ class TestRunExperiment:
         # single-base read estimator needs equal N and L, so its trials carry
         # an error code instead of a rate
         cfg = nonseq_config(
-            source=IidSource(3000, SKEWED),
+            sources=(IidSource(3000, SKEWED),),
             mode=Mode.SEQ,
             estimators=(EstimatorId.K1_READS, EstimatorId.LARGE_K_READS),
             k_values=(8,),
@@ -320,7 +345,7 @@ class TestRunExperiment:
         mutated = []
         monkeypatch.setattr(harness, "mutate", lambda *args: mutated.append(args))
         cfg = nonseq_config(
-            source=IidSource(500, SKEWED),
+            sources=(IidSource(500, SKEWED),),
             mode=Mode.SEQ,
             estimators=(EstimatorId.K1_READS, EstimatorId.LARGE_K_READS),
             k_values=(8,),
@@ -330,7 +355,7 @@ class TestRunExperiment:
             y_read_len=1000,
             trials_per_point=2,
         )
-        with pytest.raises(ValueError, match=r"^reference 0: y_read_len 1000 exceeds its length 500$"):
+        with pytest.raises(ValueError, match=r"^source 0, reference 0: y_read_len 1000 exceeds its length 500$"):
             run_experiment(cfg)
         assert mutated == []
 
@@ -339,7 +364,7 @@ class TestRunExperiment:
         # to whole-sequence statistics: means must agree within 4 SE
         g, p, trials = 2000, 0.1, 200
         common = dict(
-            source=IidSource(g, SKEWED),
+            sources=(IidSource(g, SKEWED),),
             p_grid=(p,),
             trials_per_point=trials,
             master_seed=1234,
@@ -366,7 +391,7 @@ class TestRunExperiment:
 
     def test_large_k_seq_median_example(self):
         cfg = ExperimentConfig(
-            source=IidSource(20_000, UNIFORM),
+            sources=(IidSource(20_000, UNIFORM),),
             mode=Mode.NONSEQ,
             estimators=(EstimatorId.LARGE_K_SEQ,),
             p_grid=(0.05,),
@@ -388,8 +413,8 @@ class TestSummaries:
         g = self.gp()
         nan = float("nan")
         if err:
-            return TrialRecord(g.estimator, g.k, g.p, g.s, g.coverage, 0, trial, trial, nan, nan, nan, err)
-        return TrialRecord(g.estimator, g.k, g.p, g.s, g.coverage, 0, trial, trial, 0.1, 0.1, e)
+            return TrialRecord(g.estimator, g.k, g.p, g.s, g.coverage, g.source, 0, trial, trial, nan, nan, nan, err)
+        return TrialRecord(g.estimator, g.k, g.p, g.s, g.coverage, g.source, 0, trial, trial, 0.1, 0.1, e)
 
     def test_empty(self):
         assert summarize([]) == {}
@@ -436,40 +461,42 @@ class TestSummaries:
 
     def test_grouping_by_grid_point(self):
         a = self.rec(0.1)
-        other = TrialRecord(EstimatorId.K1_GC, 1, 0.2, None, None, 0, 0, 99, 0.2, 0.2, 0.0)
-        summ = summarize([a, other])
-        assert len(summ) == 2
-        assert list(summ) == [a.grid_point, other.grid_point]
+        other = TrialRecord(EstimatorId.K1_GC, 1, 0.2, None, None, 0, 0, 0, 99, 0.2, 0.2, 0.0)
+        # the same estimator, k and p on another source is another grid point
+        elsewhere = TrialRecord(EstimatorId.K1_SINGLE, 1, 0.1, None, None, 1, 0, 0, 98, 0.1, 0.1, 0.3)
+        summ = summarize([a, other, elsewhere])
+        assert list(summ) == [a.grid_point, other.grid_point, elsewhere.grid_point]
+        assert summ[elsewhere.grid_point].mean == pytest.approx(0.3)
 
 
-# hand-built records and their literal v1 text; no RNG, so the same on every NumPy
+# hand-built records and their literal v2 text; no RNG, so the same on every NumPy
 GOLDEN_RECORDS = [
     # ok row; s and coverage None outside read mode
-    TrialRecord(EstimatorId.K1_SINGLE, 1, 0.1, None, None, 0, 0, 12345, 0.0987, 0.0987, -0.013),
-    # errored trial: NaN rates and an error code
+    TrialRecord(EstimatorId.K1_SINGLE, 1, 0.1, None, None, 0, 0, 0, 12345, 0.0987, 0.0987, -0.013),
+    # errored trial on the fourth source's second reference: NaN rates and an error code
     TrialRecord(
-        EstimatorId.GENERAL_K, 8, 0.3, None, None, 1, 2, 99,
+        EstimatorId.GENERAL_K, 8, 0.3, None, None, 3, 1, 2, 99,
         math.nan, math.nan, math.nan, "no-root-in-range",
     ),
     # read mode, with lambda and its fallback
     TrialRecord(
-        EstimatorId.LARGE_K_READS, 20, 0.05, 0.01, 30.0, 0, 1, 7, 0.051, 0.051, 0.02,
+        EstimatorId.LARGE_K_READS, 20, 0.05, 0.01, 30.0, 1, 0, 1, 7, 0.051, 0.051, 0.02,
         lambda_threshold=3, lambda_fallback=True,
     ),
     # a seed at or above 2^63, and multiple roots
     TrialRecord(
-        EstimatorId.GENERAL_K, 8, 0.3, None, None, 0, 3, 2**64 - 59, 0.31, 0.31, 0.0333,
+        EstimatorId.GENERAL_K, 8, 0.3, None, None, 0, 0, 3, 2**64 - 59, 0.31, 0.31, 0.0333,
         multiple_roots=True,
     ),
 ]
 GOLDEN_CSV = (
-    "# format: mutrate-trials-v1\n"
-    "estimator,k,p,s,coverage,reference,trial,seed,p_raw,p_clamped,rel_error,error,"
+    "# format: mutrate-trials-v2\n"
+    "estimator,k,p,s,coverage,source,reference,trial,seed,p_raw,p_clamped,rel_error,error,"
     "lambda_threshold,lambda_fallback,multiple_roots\n"
-    "k1-single,1,0.1,,,0,0,12345,0.0987,0.0987,-0.013,,,0,0\n"
-    "general-k,8,0.3,,,1,2,99,nan,nan,nan,no-root-in-range,,0,0\n"
-    "large-k-reads,20,0.05,0.01,30.0,0,1,7,0.051,0.051,0.02,,3,1,0\n"
-    "general-k,8,0.3,,,0,3,18446744073709551557,0.31,0.31,0.0333,,,0,1\n"
+    "k1-single,1,0.1,,,0,0,0,12345,0.0987,0.0987,-0.013,,,0,0\n"
+    "general-k,8,0.3,,,3,1,2,99,nan,nan,nan,no-root-in-range,,0,0\n"
+    "large-k-reads,20,0.05,0.01,30.0,1,0,1,7,0.051,0.051,0.02,,3,1,0\n"
+    "general-k,8,0.3,,,0,0,3,18446744073709551557,0.31,0.31,0.0333,,,0,1\n"
 )
 
 
@@ -488,7 +515,7 @@ class TestSerialization:
 
     def test_csv_round_trip_seq_mode(self, tmp_path):
         cfg = nonseq_config(
-            source=IidSource(2000, SKEWED),
+            sources=(IidSource(2000, SKEWED),),
             mode=Mode.SEQ,
             estimators=(EstimatorId.LARGE_K_READS,),
             k_values=(8,),
@@ -512,12 +539,17 @@ class TestSerialization:
     def test_csv_format_line(self, tmp_path):
         path = tmp_path / "t.csv"
         write_trials_csv(path, run_experiment(nonseq_config(trials_per_point=1)))
-        assert path.read_text().startswith("# format: mutrate-trials-v1\n")
-        path.write_text("bogus\n" + path.read_text())
+        text = path.read_text()
+        assert text.startswith("# format: mutrate-trials-v2\n")
+        path.write_text("bogus\n" + text)
         with pytest.raises(ValueError, match="format"):
             read_trials_csv(path)
+        # v1 had no source column; it is not read as source-less v2
+        path.write_text(text.replace("mutrate-trials-v2", "mutrate-trials-v1", 1))
+        with pytest.raises(ValueError, match="unrecognized trials format line '# format: mutrate-trials-v1'"):
+            read_trials_csv(path)
 
-    def test_csv_golden_v1_text(self, tmp_path):
+    def test_csv_golden_v2_text(self, tmp_path):
         path = tmp_path / "t.csv"
         write_trials_csv(path, GOLDEN_RECORDS)
         assert path.read_text() == GOLDEN_CSV
@@ -550,18 +582,22 @@ class TestSerialization:
 
     def test_summary_json_golden(self):
         cfg = nonseq_config(
-            estimators=(EstimatorId.GENERAL_K,), k_values=(4,), subset=SubsetSpec.top(5), trials_per_point=4
+            sources=(IidSource(4000, SKEWED), FastaSource("refs.fa")),
+            estimators=(EstimatorId.GENERAL_K,), k_values=(4,), subset=SubsetSpec.top(5), trials_per_point=4,
         )
         ok = [
-            TrialRecord(EstimatorId.GENERAL_K, 4, 0.1, None, None, 0, i, i, 0.1, 0.1, e)
+            TrialRecord(EstimatorId.GENERAL_K, 4, 0.1, None, None, 0, 0, i, i, 0.1, 0.1, e)
             for i, e in enumerate((0.0, 0.5, 1.0, 0.5))
         ]
         nan = math.nan
-        failed = [TrialRecord(EstimatorId.GENERAL_K, 4, 0.2, None, None, 0, 0, 9, nan, nan, nan, "x")]
+        failed = [TrialRecord(EstimatorId.GENERAL_K, 4, 0.1, None, None, 1, 0, 0, 9, nan, nan, nan, "x")]
         assert summary_to_dict(cfg, ok + failed) == {
-            "format": "mutrate-summary-v1",
+            "format": "mutrate-summary-v2",
             "config": {
-                "source": {"kind": "iid", "length": 4000, "distribution": list(SKEWED), "num_references": 1},
+                "sources": [
+                    {"kind": "iid", "length": 4000, "distribution": list(SKEWED), "num_references": 1},
+                    {"kind": "fasta", "path": "refs.fa", "on_invalid": "error"},
+                ],
                 "mode": "nonseq",
                 "estimators": ["general-k"],
                 "p_grid": [0.1],
@@ -579,12 +615,12 @@ class TestSerialization:
             "num_trials": 5,
             "groups": [
                 {
-                    "estimator": "general-k", "k": 4, "p": 0.1, "s": None, "coverage": None,
+                    "estimator": "general-k", "k": 4, "p": 0.1, "s": None, "coverage": None, "source": 0,
                     "count": 4, "median": 0.5, "q1": 0.375, "q3": 0.625, "whisker_low": 0.0,
                     "whisker_high": 1.0, "mean": 0.5, "stddev": 0.125**0.5, "error_count": 0,
                 },
                 {
-                    "estimator": "general-k", "k": 4, "p": 0.2, "s": None, "coverage": None,
+                    "estimator": "general-k", "k": 4, "p": 0.1, "s": None, "coverage": None, "source": 1,
                     "count": 0, "median": None, "q1": None, "q3": None, "whisker_low": None,
                     "whisker_high": None, "mean": None, "stddev": None, "error_count": 1,
                 },
@@ -599,7 +635,7 @@ class TestSerialization:
         path = tmp_path / "s.json"
         write_summary_json(path, cfg, records)
         data = json.loads(path.read_text())
-        assert data["format"] == "mutrate-summary-v1"
+        assert data["format"] == "mutrate-summary-v2"
         assert data["config"]["mode"] == "nonseq"
         assert len(data["groups"]) == 1
         g = data["groups"][0]
@@ -799,5 +835,5 @@ def test_error_code_comes_from_the_exception_class(monkeypatch, exc, code):
         raise exc("no rate")
 
     monkeypatch.setattr(harness, "estimate_k1_single", fail)
-    cfg = ExperimentConfig(IidSource(200, SKEWED), Mode.NONSEQ, (EstimatorId.K1_SINGLE,), (0.1,), 2, 1)
+    cfg = ExperimentConfig((IidSource(200, SKEWED),), Mode.NONSEQ, (EstimatorId.K1_SINGLE,), (0.1,), 2, 1)
     assert [r.error for r in run_experiment(cfg)] == [code, code]

@@ -97,6 +97,14 @@ class TestFasta:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == ascii("séq")
 
+    @pytest.mark.parametrize("name", ["", "  ", "a\nb", "a\r", "a\x85b"])
+    def test_name_the_reader_would_reject_is_not_written(self, tmp_path, name):
+        # \x85 ends a line for str.splitlines, as \n and \r do
+        path, seq = tmp_path / "x.fa", CircularSequence.from_string("ACGT")
+        with pytest.raises(ValueError, match="blank or holds a line break"):
+            write_fasta(path, [FastaRecord("ok", seq), FastaRecord(name, seq)])
+        assert not path.exists()
+
     def test_write_peak_is_one_block(self, tmp_path):
         """A 1e6-base record is written a block of lines at a time: the
         peak is one block's codes, bytes and text (three ``_BLOCK_BYTES``)
